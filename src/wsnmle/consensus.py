@@ -14,18 +14,19 @@ any rho > 0 on a connected graph.
 
 The decentralized ML estimator runs two such instances in lockstep -- one
 on the per-node information values, one on the per-node projections --
-and forms the running ratio at every node.  Both streams have real update
-coefficients, so complex values propagate exactly as two independent real
-consensus problems.
+and forms the running ratio at every node.  The update coefficients are
+real, so the complex projection runs as two real streams and one round
+advances three real rows (I, Re P, Im P) with a single neighbour sum.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged, ZeroInformation
+from .errors import DimensionMismatch, Disconnected, NotConverged, ZeroInformation
 from .topology import Graph
 
 __all__ = [
@@ -71,12 +72,34 @@ class ConsensusState:
         return cls(y=np.zeros(n, dtype=dtype), lam=np.zeros(n, dtype=dtype), k=0)
 
 
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    A = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        A[i, j] = 1.0
-        A[j, i] = 1.0
-    return A
+def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
+    """Consensus rounds from ``(y, lam)``; yields ``(y, lam)`` after each.
+
+    ``x``, ``y`` and ``lam`` hold one entry per node along the last axis,
+    so a (k, n) array runs k independent streams in lockstep.  Neighbour
+    sums gather over the receiver-sorted directed edges (the concatenated
+    neighbour lists): O(|E|) work and memory per round.  The multiplier
+    update's sum over the new iterates is kept for the next round's
+    y-update, so a round costs one sum.
+    """
+    send = np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.intp)
+    d = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    if g.n > 1 and not d.all():  # reduceat would fill an empty segment
+        raise Disconnected(f"node {int(np.argmin(d))} has no neighbours")
+    starts = np.cumsum(d) - d
+
+    def neighbour_sum(v):
+        if send.size == 0:  # a single node; reduceat cannot take no indices
+            return np.zeros_like(v)
+        return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
+
+    denom = 1.0 + 2.0 * rho * d
+    s = neighbour_sum(y)
+    while True:
+        y = (rho * d * y + rho * s - lam + x) / denom
+        s = neighbour_sum(y)
+        lam = lam + rho * (d * y - s)
+        yield y, lam
 
 
 def admm_step(g: Graph, cfg: AdmmConfig, state: ConsensusState, x: np.ndarray) -> ConsensusState:
@@ -84,12 +107,8 @@ def admm_step(g: Graph, cfg: AdmmConfig, state: ConsensusState, x: np.ndarray) -
     x = np.asarray(x)
     if x.size != g.n or state.y.size != g.n or state.lam.size != g.n:
         raise DimensionMismatch("state and initial values must have one entry per node")
-    A = _adjacency_matrix(g)
-    d = A.sum(axis=1)
-    rho = cfg.rho
-    y_new = (rho * d * state.y + rho * (A @ state.y) - state.lam + x) / (1.0 + 2.0 * rho * d)
-    lam_new = state.lam + rho * (d * y_new - A @ y_new)
-    return ConsensusState(y=y_new, lam=lam_new, k=state.k + 1)
+    y, lam = next(_rounds(g, cfg.rho, x, state.y, state.lam))
+    return ConsensusState(y=y, lam=lam, k=state.k + 1)
 
 
 def run_average_consensus(g: Graph, cfg: AdmmConfig, x: np.ndarray) -> np.ndarray:
@@ -103,18 +122,10 @@ def run_average_consensus(g: Graph, cfg: AdmmConfig, x: np.ndarray) -> np.ndarra
     x = np.asarray(x, dtype=complex)
     if x.size != g.n:
         raise DimensionMismatch(f"{x.size} initial values for {g.n} nodes")
-    A = _adjacency_matrix(g)
-    d = A.sum(axis=1)
-    denom = 1.0 + 2.0 * cfg.rho * d
     target = np.mean(x)
-    y = np.zeros(g.n, dtype=complex)
-    lam = np.zeros(g.n, dtype=complex)
-    traj = [y.copy()]
-    disagreement = float(np.max(np.abs(y - target)))
-    for _ in range(cfg.max_iter):
-        y = (cfg.rho * d * y + cfg.rho * (A @ y) - lam + x) / denom
-        lam = lam + cfg.rho * (d * y - A @ y)
-        traj.append(y.copy())
+    traj = [np.zeros(g.n, dtype=complex)]
+    for _, (y, _lam) in zip(range(cfg.max_iter), _rounds(g, cfg.rho, x, traj[0], traj[0])):
+        traj.append(y)
         disagreement = float(np.max(np.abs(y - target)))
         if disagreement <= cfg.tol:
             return np.array(traj)
@@ -159,39 +170,24 @@ def decentralized_mle(
     P0 = np.asarray(P0, dtype=complex)
     if I0.size != g.n or P0.size != g.n:
         raise DimensionMismatch(f"streams must have one entry per node ({g.n})")
-    total = float(np.sum(I0))
-    if total <= 0.0:
+    if float(np.sum(I0)) <= 0.0:
         raise ZeroInformation("total initial information must be positive")
-    A = _adjacency_matrix(g)
-    d = A.sum(axis=1)
-    denom = 1.0 + 2.0 * cfg.rho * d
     mean_I = float(np.mean(I0))
     mean_P = complex(np.mean(P0))
     scale_I = max(1.0, abs(mean_I))
     scale_P = max(1.0, abs(mean_P))
 
-    yI = np.zeros(g.n)
-    lamI = np.zeros(g.n)
-    yP = np.zeros(g.n, dtype=complex)
-    lamP = np.zeros(g.n, dtype=complex)
-    traj_I = [yI.copy()]
-    traj_P = [yP.copy()]
-    converged = False
-    iterations = 0
-    disagreement = np.inf
-    for k in range(cfg.max_iter):
-        yI = (cfg.rho * d * yI + cfg.rho * (A @ yI) - lamI + I0) / denom
-        lamI = lamI + cfg.rho * (d * yI - A @ yI)
-        yP = (cfg.rho * d * yP + cfg.rho * (A @ yP) - lamP + P0) / denom
-        lamP = lamP + cfg.rho * (d * yP - A @ yP)
-        traj_I.append(yI.copy())
-        traj_P.append(yP.copy())
-        iterations = k + 1
-        dev_I = float(np.max(np.abs(yI - mean_I))) / scale_I
-        dev_P = float(np.max(np.abs(yP - mean_P))) / scale_P
+    streams = np.stack((I0, P0.real, P0.imag))
+    traj_I = [np.zeros(g.n)]
+    traj_P = [np.zeros(g.n, dtype=complex)]
+    rounds = _rounds(g, cfg.rho, streams, np.zeros_like(streams), np.zeros_like(streams))
+    for _, (y, _lam) in zip(range(cfg.max_iter), rounds):
+        traj_I.append(y[0].copy())
+        traj_P.append(y[1] + 1j * y[2])
+        dev_I = float(np.max(np.abs(traj_I[-1] - mean_I))) / scale_I
+        dev_P = float(np.max(np.abs(traj_P[-1] - mean_P))) / scale_P
         disagreement = max(dev_I, dev_P)
         if disagreement <= cfg.tol:
-            converged = True
             break
     I = np.array(traj_I)
     P = np.array(traj_P)
@@ -201,7 +197,7 @@ def decentralized_mle(
         I=I,
         P=P,
         theta=theta,
-        converged=converged,
-        iterations=iterations,
+        converged=disagreement <= cfg.tol,
+        iterations=len(traj_I) - 1,
         disagreement=disagreement,
     )

@@ -53,6 +53,10 @@ class SingularR(ModelError):
     """The bordered covariance matrix could not be inverted."""
 
 
+class MonotonicityViolation(WsnMleError):
+    """An iteration that must not worsen its objective did (beyond slack)."""
+
+
 class NotConverged(WsnMleError):
     """Iteration cap reached before the tolerance was met.
 

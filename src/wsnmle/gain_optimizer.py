@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularR, ZeroTransmissionNoise
+from .errors import DimensionMismatch, MonotonicityViolation, SingularR, ZeroTransmissionNoise
 from .fusion import GlobalModel, information_total, noise_cov_rows
 from .network_model import GainDomain, GainVector
 
@@ -65,7 +65,7 @@ class OptimizerConfig:
     max_outer: int = 200
     y_method: str = "solve"
     eps_abs: float = 1e-9          # additive floor on the diagonal load
-    monotone_slack: float = 1e-10  # tolerance on the non-increase assertions
+    monotone_slack: float = 1e-10  # tolerance on the non-increase checks
 
     def __post_init__(self):
         if self.eta0_factor <= 1.0:
@@ -299,8 +299,8 @@ def power_iterate(a: GainVector, Q: np.ndarray, cfg: OptimizerConfig):
     Repeats ``a <- project(first N components of (lambda I - Q) (a, 1))``
     until the gains stop moving or the cap is hit.  The loaded form
     ``(a,1)^H (lambda I - Q) (a,1)`` never decreases across iterations
-    (checked with a small slack).  Returns the new gains and the number
-    of iterations used.
+    (a drop beyond a small slack raises :class:`MonotonicityViolation`).
+    Returns the new gains and the number of iterations used.
     """
     n = a.n
     if Q.shape != (n + 1, n + 1):
@@ -319,9 +319,8 @@ def power_iterate(a: GainVector, Q: np.ndarray, cfg: OptimizerConfig):
             break
         w_new = np.append(new, 1.0)
         obj_new = float(np.real(np.conj(w_new) @ (lam * w_new - Q @ w_new)))
-        assert obj_new >= obj - cfg.monotone_slack * max(1.0, abs(obj)), (
-            f"loaded quadratic form decreased: {obj} -> {obj_new}"
-        )
+        if obj_new < obj - cfg.monotone_slack * max(1.0, abs(obj)):
+            raise MonotonicityViolation(f"loaded quadratic form decreased: {obj} -> {obj_new}")
         step = float(np.max(np.abs(new - cur)))
         cur = new
         obj = obj_new
@@ -370,9 +369,8 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
         y = update_y(R, cfg.y_method)
         eta = record(a, used)
         cycles += 1
-        assert eta <= eta_prev + cfg.monotone_slack, (
-            f"objective increased across outer cycle: {eta_prev} -> {eta}"
-        )
+        if eta > eta_prev + cfg.monotone_slack:
+            raise MonotonicityViolation(f"objective increased across outer cycle: {eta_prev} -> {eta}")
         if eta < best_eta:
             best_eta = eta
             best_a = a

@@ -257,7 +257,7 @@ def run_all(seed: int = 0, cases: int = 100, n_max: int = 8, overrides: dict | N
         kwargs = overrides.get(name, {})
         try:
             detail = fn(rng, cases, n_max, **kwargs)
-        except (WsnMleError, AssertionError) as exc:
+        except WsnMleError as exc:
             detail = f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=detail is None, detail=detail or ""))
     return results

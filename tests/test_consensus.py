@@ -8,7 +8,7 @@ from wsnmle.consensus import (
     decentralized_mle,
     run_average_consensus,
 )
-from wsnmle.errors import NotConverged, ZeroInformation
+from wsnmle.errors import Disconnected, NotConverged, ZeroInformation
 from wsnmle.fusion import (
     build_global_model,
     decompose_information,
@@ -17,7 +17,7 @@ from wsnmle.fusion import (
     select_retainers,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import Graph, build_graph, random_connected_graph
 
 
 def _path3():
@@ -41,6 +41,31 @@ def _oracle_step(g, rho, y, lam, x):
         s = sum(y_new[j] for j in nbrs)
         lam_new[i] = lam[i] + rho * (len(nbrs) * y_new[i] - s)
     return y_new, lam_new
+
+
+def _dense_decentralized_mle(g, cfg, I0, P0):
+    # The update formulas on a dense adjacency, both streams advanced
+    # separately with two products each; returns (I, P, iterations, converged).
+    A = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        A[i, j] = A[j, i] = 1.0
+    d = A.sum(axis=1)
+    rho = cfg.rho
+    denom = 1.0 + 2.0 * rho * d
+    means = [np.mean(I0), np.mean(P0)]
+    scales = [max(1.0, abs(m)) for m in means]
+    ys = [np.zeros(g.n), np.zeros(g.n, dtype=complex)]
+    lams = [np.zeros(g.n), np.zeros(g.n, dtype=complex)]
+    trajs = [[ys[0]], [ys[1]]]
+    for k in range(cfg.max_iter):
+        for s, x in enumerate((I0, P0)):
+            ys[s] = (rho * d * ys[s] + rho * (A @ ys[s]) - lams[s] + x) / denom
+            lams[s] = lams[s] + rho * (d * ys[s] - A @ ys[s])
+            trajs[s].append(ys[s])
+        dev = max(np.max(np.abs(ys[s] - means[s])) / scales[s] for s in range(2))
+        if dev <= cfg.tol:
+            return np.array(trajs[0]), np.array(trajs[1]), k + 1, True
+    return np.array(trajs[0]), np.array(trajs[1]), cfg.max_iter, False
 
 
 def test_config_validation():
@@ -146,6 +171,18 @@ def test_analytic_fixed_point_is_stationary():
     assert np.max(np.abs(nxt.lam - state.lam)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "edge, adjacency",
+    [((0, 2), ((2,), (), (0,))), ((0, 1), ((1,), (0,), ()))],
+    ids=["middle", "last"],
+)
+def test_isolated_node_rejected(edge, adjacency):
+    # Graph itself does not check connectivity (build_graph does).
+    g = Graph(n=3, edges=(edge,), adjacency=adjacency)
+    with pytest.raises(Disconnected):
+        admm_step(g, AdmmConfig(), ConsensusState.zeros(3), np.ones(3))
+
+
 def test_not_converged_carries_disagreement():
     g = _path3()
     with pytest.raises(NotConverged) as err:
@@ -202,3 +239,31 @@ def test_zero_information_rejected():
     g = _path3()
     with pytest.raises(ZeroInformation):
         decentralized_mle(g, AdmmConfig(), np.zeros(3), np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph(1, []),
+        build_graph(9, [(0, j) for j in range(1, 9)]),  # star: degrees 1 and n-1
+        random_connected_graph(40, "gnp", p=0.15, seed=15),
+        random_connected_graph(300, "gnp", p=0.03, seed=16),
+        random_connected_graph(120, "geometric", radius=0.2, seed=17),
+        random_connected_graph(300, "geometric", radius=0.13, seed=18),
+    ],
+    ids=["single", "star9", "gnp40", "gnp300", "geo120", "geo300"],
+)
+def test_decentralized_mle_matches_dense_oracle(g):
+    rng = np.random.default_rng(g.n)
+    I0 = rng.uniform(0.5, 2.0, g.n)
+    P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    cfg = AdmmConfig(rho=0.5, max_iter=5000, tol=1e-9)
+    run = decentralized_mle(g, cfg, I0, P0)
+    I_ref, P_ref, iterations, converged = _dense_decentralized_mle(g, cfg, I0, P0)
+    assert (run.iterations, run.converged) == (iterations, converged)
+    assert converged
+    # Summation order differs from the dense products: agree to rounding.
+    assert np.max(np.abs(run.I - I_ref)) <= 1e-12 * np.max(np.abs(I_ref))
+    assert np.max(np.abs(run.P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+    central = np.sum(P0) / np.sum(I0)
+    assert np.max(np.abs(run.theta_final - central)) <= 1e-6 * abs(central)

@@ -153,9 +153,9 @@ def test_selfcheck_all_pass():
 
 def test_selfcheck_catches_sign_error_in_multiplier_update():
     def broken_step(g, cfg, state, x):
-        from wsnmle.consensus import _adjacency_matrix
-
-        A = _adjacency_matrix(g)
+        A = np.zeros((g.n, g.n))
+        for i, j in g.edges:
+            A[i, j] = A[j, i] = 1.0
         d = A.sum(axis=1)
         rho = cfg.rho
         with np.errstate(all="ignore"):  # the broken update diverges

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wsnmle.errors import SingularR, ZeroTransmissionNoise
+from wsnmle import gain_optimizer
+from wsnmle.errors import MonotonicityViolation, SingularR, ZeroTransmissionNoise
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
     AuxVector,
@@ -293,6 +294,16 @@ def test_diagonal_load_keeps_matrix_psd():
         lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q)))
         assert mineig >= -1e-9
+
+
+
+def test_underestimated_load_raises_monotonicity_violation(monkeypatch):
+    # Without the diagonal load the power step can lower the loaded form.
+    # A typed error, not an assert, so the check also runs under python -O.
+    monkeypatch.setattr(gain_optimizer, "lambda_max_estimate", lambda Q, iters=200: 0.0)
+    model, a, gm = _scenario(6, 300)
+    with pytest.raises(MonotonicityViolation, match="loaded quadratic form decreased"):
+        optimize(gm, OptimizerConfig(), a)
 
 
 # --- full optimization -----------------------------------------------------------
