@@ -33,18 +33,12 @@ from .gain_optimizer import (
 from .network_model import (
     GainDomain,
     GainVector,
-    LocalModel,
     NetworkModel,
-    ObservationDraw,
-    information_value,
     load_network,
-    local_model,
-    local_noise_covariance,
     node_information,
     sample_channels,
-    sample_observations,
     save_network,
 )
-from .topology import Graph, build_graph, degree, load_graph, random_connected_graph, save_graph
+from .topology import Graph, Links, build_graph, degree, load_graph, random_connected_graph, save_graph
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ advances three real rows (I, Re P, Im P) with a single neighbour sum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +76,17 @@ def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray)
 
     ``x``, ``y`` and ``lam`` hold one entry per node along the last axis,
     so a (k, n) array runs k independent streams in lockstep.  Neighbour
-    sums gather over the receiver-sorted directed edges (the concatenated
-    neighbour lists): O(|E|) work and memory per round.  The multiplier
-    update's sum over the new iterates is kept for the next round's
-    y-update, so a round costs one sum.
+    sums gather over the graph's link table without its self links (the
+    concatenated neighbour lists): O(|E|) work and memory per round.  The
+    multiplier update's sum over the new iterates is kept for the next
+    round's y-update, so a round costs one sum.
     """
-    send = np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.intp)
-    d = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    links = g.links
+    send = links.sender[links.receiver != links.sender]
+    starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
+    d = np.diff(starts, append=send.size)
     if g.n > 1 and not d.all():  # reduceat would fill an empty segment
         raise Disconnected(f"node {int(np.argmin(d))} has no neighbours")
-    starts = np.cumsum(d) - d
 
     def neighbour_sum(v):
         if send.size == 0:  # a single node; reduceat cannot take no indices

@@ -25,6 +25,10 @@ class Disconnected(GraphError):
     pass
 
 
+class MalformedGraph(GraphError):
+    """Edges not canonical, or adjacency not their symmetric closure."""
+
+
 class RetriesExhausted(GraphError):
     """Random graph generation failed to produce a connected graph."""
 

@@ -16,7 +16,7 @@ operations; no dense inverse appears anywhere in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,14 @@ class SelectionPlan:
 
     ``retained`` lists the surviving ``(receiver, sender)`` pairs,
     self links included, sorted.  ``r`` counts the discarded external
-    links: ``r = 2|E| - (retained external links)``.
+    links: ``r = 2|E| - (retained external links)``.  ``links`` holds the
+    retained pairs' indices in the graph's link table when the plan comes
+    from :func:`select_retainers`.
     """
 
     retained: tuple[tuple[int, int], ...]
     r: int
+    links: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def rows_at(self, i: int) -> tuple[int, ...]:
         """Senders retained at receiver ``i``, ascending."""
@@ -70,16 +73,18 @@ def select_retainers(g: Graph, info: np.ndarray) -> SelectionPlan:
         raise DimensionMismatch(f"{info.size} information values for {g.n} nodes")
     if not np.all(np.isfinite(info)) or np.any(info < 0.0):
         raise ValueError("information values must be finite and nonnegative")
-    retained = [(i, i) for i in range(g.n)]
-    external = 0
-    for sender in range(g.n):
-        nbrs = g.adjacency[sender]
-        if not nbrs:
-            continue
-        best = max(nbrs, key=lambda j: (info[j], -j))
-        retained.append((best, sender))
-        external += 1
-    return SelectionPlan(retained=tuple(sorted(retained)), r=2 * g.num_edges - external)
+    links = g.links
+    own = links.receiver == links.sender
+    # Node i's segment lists its neighbours j, the candidate retainers of
+    # its broadcast; the first maximum of each segment is the smallest id.
+    value = np.where(own, -1.0, info[links.sender])
+    best = value == np.maximum.reduceat(value, links.starts)[links.receiver]
+    first = np.flatnonzero(best)
+    first = first[np.diff(links.receiver[first], prepend=-1) > 0]
+    picked = links.reverse[first[~own[first]]]
+    kept = np.sort(np.concatenate((np.flatnonzero(own), picked)))
+    retained = tuple(zip(links.receiver[kept].tolist(), links.sender[kept].tolist()))
+    return SelectionPlan(retained=retained, r=2 * g.num_edges - picked.size, links=kept)
 
 
 @dataclass(frozen=True)
@@ -128,22 +133,14 @@ def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVect
     """Stack the retained rows of every node into one global model."""
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
-    receivers = []
-    senders = []
-    hs = []
-    sig = []
-    for k, s in plan.retained:  # already sorted by (receiver, sender)
-        receivers.append(k)
-        senders.append(s)
-        hs.append(model.h[(k, s)])
-        noisy = (k != s) or model.noisy_self_link
-        sig.append(model.sigma_n_sq if noisy else 0.0)
+    links = model.graph.links
+    idx = links.index(plan.retained) if plan.links is None else plan.links
     return GlobalModel(
         n=model.n,
-        row_receiver=np.array(receivers, dtype=int),
-        row_sender=np.array(senders, dtype=int),
-        row_h=np.array(hs, dtype=complex),
-        sigma_rows=np.array(sig, dtype=float),
+        row_receiver=links.receiver[idx],
+        row_sender=links.sender[idx],
+        row_h=model.h[idx],
+        sigma_rows=model.tx_noise()[idx],
         v_diag=model.sigma_v_sq.copy(),
         sigma_n_sq=float(model.sigma_n_sq),
         gains=gains,

@@ -1,45 +1,41 @@
-"""Channels, noise statistics, gains, and per-node observation models.
+"""Channels, noise statistics, gains, and per-node information values.
 
 Every node ``i`` observes ``z_i = theta + v_i`` with complex Gaussian
 sensor noise, scales it by an adjustable complex gain ``a_i``, and
-broadcasts it to its neighbors over noisy channels.  A
-:class:`LocalModel` collects the receptions stacked at one node: one row
-per retained sender, each row fully described by a channel coefficient,
-the sender's gain, the sender's observation-noise variance, and a 0/1
-mask saying whether the row carries transmission noise.
+broadcasts it to its neighbors over noisy channels.  Every quantity
+attached to a reception lives in one array over the graph's directed-link
+table (:class:`~wsnmle.topology.Links`, sorted by receiver, then sender,
+self links included): the channel coefficient, the sender's gain and
+observation-noise variance, and whether the link carries transmission
+noise.
 
 Each reception carries an independent observation-noise draw, so the
-combined noise of any stack of rows is diagonal; every covariance in this
-module is represented by its diagonal vector.  A node's own observation
-enters its stack as a self row with unit channel; by default the self row
-is noiseless on the transmission side (``noisy_self_link=False``), since a
-node reads its own sensor without going over the air.
+combined noise of any stack of receptions is diagonal; every covariance in
+this package is represented by its diagonal vector.  A node's own
+observation enters its stack as a self link with unit channel; by default
+the self link is noiseless on the transmission side
+(``noisy_self_link=False``), since a node reads its own sensor without
+going over the air.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, SingularCovariance
+from .errors import DimensionMismatch, SingularCovariance
 from .topology import Graph, build_graph
 
 __all__ = [
     "GainDomain",
     "GainVector",
     "NetworkModel",
-    "LocalModel",
-    "ObservationDraw",
     "sample_channels",
-    "local_model",
-    "local_noise_covariance",
-    "information_value",
     "node_information",
-    "sample_observations",
     "network_to_json",
     "network_from_json",
     "save_network",
@@ -104,13 +100,13 @@ class GainVector:
 class NetworkModel:
     """Channels, noise variances, and the true parameter for one network.
 
-    ``h`` maps directed pairs ``(receiver, sender)`` to complex channel
-    coefficients.  It must contain exactly the ``2|E|`` directed edge
-    pairs plus the ``n`` self pairs ``(i, i)``, with ``h[(i, i)] == 1``.
+    ``h`` holds one complex channel coefficient per directed link, in the
+    order of ``graph.links`` (``2|E| + n`` entries); self links carry
+    exactly 1.
     """
 
     graph: Graph
-    h: dict
+    h: np.ndarray
     sigma_v_sq: np.ndarray
     sigma_n_sq: float
     theta: complex
@@ -129,19 +125,25 @@ class NetworkModel:
         if self.sigma_n_sq < 0.0:
             raise ValueError("transmission-noise variance must be nonnegative")
         object.__setattr__(self, "theta", complex(self.theta))
-        expected = {(i, i) for i in range(g.n)}
-        for i, j in g.edges:
-            expected.add((i, j))
-            expected.add((j, i))
-        if set(self.h.keys()) != expected:
-            raise DimensionMismatch("channel map keys do not match directed edges plus self pairs")
-        for i in range(g.n):
-            if self.h[(i, i)] != 1:
-                raise ValueError(f"self channel h[({i},{i})] must be exactly 1")
+        h = np.asarray(self.h, dtype=complex)
+        links = g.links
+        if h.shape != links.sender.shape:
+            raise DimensionMismatch(f"{h.size} channels for {links.sender.size} directed links plus self links")
+        bad = (links.receiver == links.sender) & (h != 1)
+        if bad.any():
+            i = int(links.sender[np.argmax(bad)])
+            raise ValueError(f"self channel h[({i},{i})] must be exactly 1")
+        object.__setattr__(self, "h", h)
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def tx_noise(self) -> np.ndarray:
+        """Transmission-noise variance of every link."""
+        links = self.graph.links
+        noisy = (links.receiver != links.sender) | self.noisy_self_link
+        return np.where(noisy, float(self.sigma_n_sq), 0.0)
 
 
 def sample_channels(
@@ -151,169 +153,65 @@ def sample_channels(
     sigma_h: float = 1.0,
     reciprocal: bool = False,
     seed: int = 0,
-) -> dict:
-    """Draw channel coefficients for every directed edge pair.
+) -> np.ndarray:
+    """Draw channel coefficients for every directed link, in link order.
 
     ``complex_gaussian`` draws i.i.d. circularly-symmetric complex
     Gaussians with variance ``sigma_h**2`` (real and imaginary parts
     i.i.d. normal with variance ``sigma_h**2 / 2``); ``unit`` sets every
     coefficient to 1.  With ``reciprocal=True`` the two directions of an
-    edge share one draw.  Self channels are always exactly 1.
+    edge share one draw.  Self channels are always exactly 1.  Edge ``k =
+    (i, j)`` takes row ``k`` of the draws: ``(i, j)`` first, then
+    ``(j, i)``.
     """
     if dist not in ("complex_gaussian", "unit"):
         raise ValueError(f"unknown channel distribution {dist!r}")
     if dist == "complex_gaussian" and sigma_h <= 0:
         raise ValueError(f"sigma_h must be positive, got {sigma_h}")
+    links = graph.links
+    h = np.ones(links.sender.size, dtype=complex)
+    if dist == "unit":
+        return h
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     scale = sigma_h / np.sqrt(2.0)
-    h: dict = {(i, i): complex(1.0) for i in range(graph.n)}
-    for i, j in graph.edges:
-        if dist == "unit":
-            h[(i, j)] = complex(1.0)
-            h[(j, i)] = complex(1.0)
-            continue
-        forward = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
-        if reciprocal:
-            h[(i, j)] = forward
-            h[(j, i)] = forward
-        else:
-            h[(i, j)] = forward
-            h[(j, i)] = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
+    # Row k holds (re, im) pairs: one per edge direction, or one shared.
+    draws = rng.normal(0.0, scale, size=(graph.num_edges, 2 if reciprocal else 4)).view(complex)
+    h[links.forward] = draws[:, 0]
+    h[links.reverse[links.forward]] = draws[:, -1]
     return h
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """Stacked receptions at one node, one row per retained sender.
-
-    All arrays share the same length (the number of retained rows).
-    ``tx_mask`` holds 1.0 for rows that carry transmission noise and 0.0
-    for a noiseless self row.
-    """
-
-    owner: int
-    senders: tuple[int, ...]
-    h: np.ndarray
-    a: np.ndarray
-    sigma_v_sq: np.ndarray
-    tx_mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        a = np.asarray(self.a, dtype=complex)
-        sv = np.asarray(self.sigma_v_sq, dtype=float)
-        mask = np.ones(h.size) if self.tx_mask is None else np.asarray(self.tx_mask, dtype=float)
-        sizes = {len(self.senders), h.size, a.size, sv.size, mask.size}
-        if len(sizes) != 1:
-            raise DimensionMismatch(f"inconsistent local model row counts: {sizes}")
-        if np.any(sv <= 0.0):
-            raise ValueError("observation-noise variances must be positive")
-        for name, arr in (("h", h), ("a", a), ("sigma_v_sq", sv), ("tx_mask", mask)):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def rows(self) -> int:
-        return len(self.senders)
-
-
-def local_model(model: NetworkModel, i: int, gains: GainVector, senders=None) -> LocalModel:
-    """Build the reception stack at node ``i``.
-
-    ``senders`` defaults to the full set ``S_i + {i}``; pass a subset to
-    build the compressed stack after row selection.  Rows are ordered by
-    ascending sender id.
-    """
-    if not 0 <= i < model.n:
-        raise OutOfRange(f"node {i} not in [0, {model.n})")
-    if senders is None:
-        senders = sorted(set(model.graph.adjacency[i]) | {i})
-    else:
-        senders = sorted(int(s) for s in senders)
-        allowed = set(model.graph.adjacency[i]) | {i}
-        if not set(senders) <= allowed:
-            raise OutOfRange(f"senders {senders} not all adjacent to node {i}")
-    h = np.array([model.h[(i, s)] for s in senders], dtype=complex)
-    a = gains.a[list(senders)]
-    sv = model.sigma_v_sq[list(senders)]
-    mask = np.array(
-        [1.0 if (s != i or model.noisy_self_link) else 0.0 for s in senders]
-    )
-    return LocalModel(owner=i, senders=tuple(senders), h=h, a=a, sigma_v_sq=sv, tx_mask=mask)
-
-
-def local_noise_covariance(m: LocalModel, sigma_n_sq: float) -> np.ndarray:
-    """Diagonal of the combined noise covariance of the stack.
-
-    Entry ``s``: ``|h_s a_s|^2 sigma_v_s^2 + tx_mask_s * sigma_n^2``.
-    Raises :class:`SingularCovariance` if any entry is zero (a row with a
-    zeroed gain and no transmission noise carries no randomness at all).
-    """
-    cov = np.abs(m.h * m.a) ** 2 * m.sigma_v_sq + m.tx_mask * sigma_n_sq
-    if np.any(cov <= 0.0):
-        raise SingularCovariance(
-            f"zero noise variance in rows {np.nonzero(cov <= 0.0)[0].tolist()} at node {m.owner}"
-        )
-    return cov
-
-
-def information_value(m: LocalModel, cov: np.ndarray) -> float:
-    """Fisher information held by the stack: sum of |h_s a_s|^2 / cov_s.
-
-    The reciprocal is the variance of the ML estimate formed from these
-    rows alone.  Invariant under any per-entry phase rotation of the
-    gains.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.size != m.rows:
-        raise DimensionMismatch(f"covariance has {cov.size} entries for {m.rows} rows")
-    if np.any(cov <= 0.0):
-        raise SingularCovariance("covariance entries must be positive")
-    return float(np.sum(np.abs(m.h * m.a) ** 2 / cov))
-
-
 def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
-    """Information value at every node from its full (uncompressed) stack."""
+    """Information value at every node from its full (uncompressed) stack.
+
+    Node ``i`` holds ``sum |h a_s|^2 / (|h a_s|^2 sigma_v_s^2 + tx_s)``
+    over the links it receives; the reciprocal is the variance of the ML
+    estimate formed from those rows alone.  Raises
+    :class:`SingularCovariance` if a link's combined noise is zero (a
+    zeroed gain on a link without transmission noise).
+    """
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
-    out = np.empty(model.n)
-    for i in range(model.n):
-        m = local_model(model, i, gains)
-        out[i] = information_value(m, local_noise_covariance(m, model.sigma_n_sq))
-    return out
-
-
-@dataclass(frozen=True)
-class ObservationDraw:
-    """One random realization of the network's observations.
-
-    ``z[i]`` is node i's own sensor reading ``theta + obs_noise[(i, i)]``.
-    ``obs_noise`` holds an independent observation-noise draw per directed
-    link (each reception conveys a fresh reading), ``tx_noise`` a
-    transmission-noise draw per directed link.  Self-link transmission
-    noise is drawn but only applied when the model says the self row is
-    noisy.
-    """
-
-    z: np.ndarray
-    obs_noise: dict
-    tx_noise: dict
-
-
-def _directed_pairs(graph: Graph):
-    pairs = [(i, i) for i in range(graph.n)]
-    for i, j in graph.edges:
-        pairs.append((i, j))
-        pairs.append((j, i))
-    return sorted(pairs)
+    links = model.graph.links
+    power = np.abs(model.h * gains.a[links.sender]) ** 2
+    cov = power * model.sigma_v_sq[links.sender] + model.tx_noise()
+    if np.any(cov <= 0.0):
+        bad = np.nonzero(cov <= 0.0)[0]
+        raise SingularCovariance(
+            f"zero noise variance on links {list(zip(links.receiver[bad].tolist(), links.sender[bad].tolist()))}"
+        )
+    return np.add.reduceat(power / cov, links.starts)
 
 
 def network_to_json(model: NetworkModel) -> str:
     """Serialize the model (graph, channel table, variances, parameter)."""
+    links = model.graph.links
     doc = {
         "n": model.n,
         "edges": [[i, j] for i, j in model.graph.edges],
         "channels": [
-            [k, s, v.real, v.imag] for (k, s), v in sorted(model.h.items())
+            list(row)
+            for row in zip(links.receiver.tolist(), links.sender.tolist(), model.h.real.tolist(), model.h.imag.tolist())
         ],
         "sigma_v_sq": model.sigma_v_sq.tolist(),
         "sigma_n_sq": model.sigma_n_sq,
@@ -326,7 +224,12 @@ def network_to_json(model: NetworkModel) -> str:
 def network_from_json(text: str) -> NetworkModel:
     doc = json.loads(text)
     graph = build_graph(doc["n"], doc["edges"])
-    h = {(k, s): complex(re, im) for k, s, re, im in doc["channels"]}
+    rows = doc["channels"]
+    idx = graph.links.index([row[:2] for row in rows])
+    if not np.array_equal(np.sort(idx), np.arange(graph.links.sender.size)):
+        raise DimensionMismatch("channel table does not list every directed link plus self link once")
+    h = np.empty(idx.size, dtype=complex)
+    h[idx] = [complex(re, im) for _, _, re, im in rows]
     return NetworkModel(
         graph=graph,
         h=h,
@@ -343,19 +246,3 @@ def save_network(model: NetworkModel, path) -> None:
 
 def load_network(path) -> NetworkModel:
     return network_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def sample_observations(model: NetworkModel, seed: int) -> ObservationDraw:
-    """Draw observations and link noises, deterministically per seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    pairs = _directed_pairs(model.graph)
-    obs: dict = {}
-    tx: dict = {}
-    for k, s in pairs:
-        sv = np.sqrt(model.sigma_v_sq[s] / 2.0)
-        obs[(k, s)] = complex(rng.normal(0.0, sv), rng.normal(0.0, sv))
-    sn = np.sqrt(model.sigma_n_sq / 2.0)
-    for k, s in pairs:
-        tx[(k, s)] = complex(rng.normal(0.0, sn), rng.normal(0.0, sn))
-    z = np.array([model.theta + obs[(i, i)] for i in range(model.n)], dtype=complex)
-    return ObservationDraw(z=z, obs_noise=obs, tx_noise=tx)

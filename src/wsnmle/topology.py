@@ -5,6 +5,12 @@ for every node ``i``, the ordered neighbor sequence ``S_i`` (ascending node
 ids, self excluded).  Graphs are immutable after construction and safe to
 share across parallel trials.
 
+Every graph also carries its directed-link table (:class:`Links`): one
+entry per directed edge plus a self link ``(i, i)`` per node, sorted by
+receiver and, within a receiver, by ascending sender.  Every per-link
+array in the package (channels, compression rows, consensus neighbour
+sums) uses this order.
+
 Random generation supports two models:
 
 * ``geometric(radius)`` -- nodes placed uniformly in the unit square, an
@@ -18,17 +24,19 @@ with the same arguments always yields the identical edge set.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, DuplicateEdge, OutOfRange, RetriesExhausted, SelfLoop
+from .errors import Disconnected, DuplicateEdge, MalformedGraph, OutOfRange, RetriesExhausted, SelfLoop
 
 __all__ = [
     "Graph",
+    "Links",
     "build_graph",
     "degree",
     "random_connected_graph",
@@ -37,6 +45,85 @@ __all__ = [
     "save_graph",
     "load_graph",
 ]
+
+
+class Links(NamedTuple):
+    """Directed-link table: ``2|E| + n`` links sorted by (receiver, sender).
+
+    Link ``l`` carries node ``sender[l]``'s broadcast to ``receiver[l]``;
+    ``starts[i]`` is the first link received by node ``i`` (its segment
+    runs to ``starts[i + 1]``), ``reverse[l]`` is the link in the opposite
+    direction (a self link is its own reverse), and ``forward[k]`` is the
+    link ``(i, j)`` of edge ``k = (i, j)``, ``i < j``.
+    """
+
+    receiver: np.ndarray
+    sender: np.ndarray
+    starts: np.ndarray
+    reverse: np.ndarray
+    forward: np.ndarray
+
+    def index(self, pairs) -> np.ndarray:
+        """Link indices of ``(receiver, sender)`` pairs."""
+        n = self.starts.size
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        keys = self.receiver * n + self.sender
+        want = pairs[:, 0] * n + pairs[:, 1]
+        idx = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        bad = (keys[idx] != want) | (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)
+        if bad.any():
+            raise OutOfRange(f"{tuple(pairs[np.argmax(bad)].tolist())} is not a link")
+        return idx
+
+
+def _links(n: int, edges: np.ndarray) -> Links:
+    # Validate an (m, 2) edge array and sort its directed links plus the n
+    # self links by (receiver, sender) in one argsort.
+    if n < 1:
+        raise OutOfRange(f"node count must be positive, got {n}")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        bad = edges[((edges < 0) | (edges >= n)).any(axis=1)][0]
+        raise OutOfRange(f"edge {tuple(bad.tolist())} references a node outside [0, {n})")
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        raise SelfLoop(f"self-loop at node {int(edges[np.argmax(loops), 0])}")
+    m = edges.shape[0]
+    nodes = np.arange(n)
+    keys = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0], nodes * (n + 1)))
+    order = np.argsort(keys)
+    keys = keys[order]
+    dup = keys[1:] == keys[:-1]
+    if dup.any():
+        pair = sorted(divmod(int(keys[np.argmax(dup)]), n))
+        raise DuplicateEdge(f"edge {tuple(pair)} listed more than once")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(keys.size)
+    reverse = np.empty_like(order)
+    reverse[pos] = pos[np.concatenate((np.arange(m, 2 * m), np.arange(m), np.arange(2 * m, keys.size)))]
+    receiver, sender = np.divmod(keys, n)
+    starts = np.searchsorted(receiver, nodes)
+    return Links(receiver, sender, starts, reverse, pos[:m])
+
+
+def _connected(links: Links) -> bool:
+    # Min-label propagation over the links with pointer jumping: label[v]
+    # stays a node of v's component no larger than v, so at the fixed point
+    # every node holds its component's smallest id.
+    label = np.arange(links.starts.size)
+    while True:
+        new = np.minimum.reduceat(label[links.sender], links.starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            return not label.any()
+        label = new
+
+
+def _adjacency(links: Links) -> tuple[tuple[int, ...], ...]:
+    # Each receiver's senders with its own self link cut out.
+    senders = links.sender.tolist()
+    bounds = links.starts.tolist() + [len(senders)]
+    own = np.flatnonzero(links.receiver == links.sender).tolist()
+    return tuple(tuple(senders[a:i] + senders[i + 1 : b]) for a, i, b in zip(bounds, own, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -52,11 +139,35 @@ class Graph:
     adjacency : tuple of tuple of int
         ``adjacency[i]`` is the neighbor sequence ``S_i`` in ascending
         order, never containing ``i`` itself.
+    links : Links
+        The directed-link table, derived from ``edges``.
+
+    Construction checks every invariant above and raises
+    :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
+    :class:`MalformedGraph` (edges not canonical, or ``adjacency`` not
+    their symmetric closure) or :class:`Disconnected`.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
+    links: Links = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
+        edges = flat.reshape(-1, 2)
+        links = _links(n, edges)
+        keys = edges[:, 0] * n + edges[:, 1]
+        if not (edges[:, 0] < edges[:, 1]).all() or not (keys[1:] > keys[:-1]).all():
+            raise MalformedGraph("edges must be pairs (i, j) with i < j in ascending order")
+        if tuple(map(tuple, self.adjacency)) != _adjacency(links):
+            raise MalformedGraph("adjacency is not the symmetric closure of the edges")
+        if not _connected(links):
+            raise Disconnected(f"graph on {n} nodes with {len(self.edges)} edges is not connected")
+        for a in links:
+            a.flags.writeable = False
+        object.__setattr__(self, "links", links)
 
     @property
     def num_edges(self) -> int:
@@ -68,58 +179,26 @@ class Graph:
         return self.adjacency[i]
 
 
-def _connected(n: int, adjacency: list[list[int]]) -> bool:
-    # BFS from node 0; a graph with a single node is connected.
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
-
-
 def build_graph(n: int, edge_list) -> Graph:
-    """Validate an edge list and build a :class:`Graph`.
+    """Canonicalize an edge list and build a :class:`Graph`.
 
     Parameters
     ----------
     n : int
         Number of nodes, must be positive.
-    edge_list : iterable of (int, int)
+    edge_list : iterable of (int, int) or (m, 2) integer array
         Unordered node pairs.  Duplicates (in either orientation),
         self-loops, out-of-range ids, and disconnected results are
-        rejected.
+        rejected by :class:`Graph`.
     """
-    if n < 1:
-        raise OutOfRange(f"node count must be positive, got {n}")
-    canonical: set[tuple[int, int]] = set()
-    for pair in edge_list:
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise OutOfRange(f"edge ({i}, {j}) references a node outside [0, {n})")
-        if i == j:
-            raise SelfLoop(f"self-loop at node {i}")
-        key = (i, j) if i < j else (j, i)
-        if key in canonical:
-            raise DuplicateEdge(f"edge {key} listed more than once")
-        canonical.add(key)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in canonical:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    if not _connected(n, adjacency):
-        raise Disconnected(f"graph on {n} nodes with {len(canonical)} edges is not connected")
-    return Graph(
-        n=n,
-        edges=tuple(sorted(canonical)),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-    )
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(itertools.chain.from_iterable(edge_list))
+    pairs = np.asarray(edge_list, dtype=np.intp).reshape(-1, 2)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    order = np.argsort(lo * n + hi)  # any order will do for ids that Graph rejects
+    lo, hi = lo[order], hi[order]
+    links = _links(n, np.stack((lo, hi), axis=1))
+    return Graph(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_adjacency(links))
 
 
 def degree(g: Graph, i: int) -> int:
@@ -129,18 +208,18 @@ def degree(g: Graph, i: int) -> int:
     return len(g.adjacency[i])
 
 
-def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator):
+def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator) -> np.ndarray:
+    iu, ju = np.triu_indices(n, k=1)
     if model == "geometric":
         pos = rng.random((n, 2))
-        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        iu, ju = np.triu_indices(n, k=1)
-        mask = d2[iu, ju] <= radius * radius
+        dx = pos[iu, 0] - pos[ju, 0]
+        dy = pos[iu, 1] - pos[ju, 1]
+        mask = dx**2 + dy**2 <= radius * radius
     elif model == "gnp":
-        iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < p
     else:
         raise ValueError(f"unknown random graph model {model!r}")
-    return [(int(i), int(j)) for i, j in zip(iu[mask], ju[mask])]
+    return np.stack((iu[mask], ju[mask]), axis=1)
 
 
 def random_connected_graph(

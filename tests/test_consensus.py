@@ -177,9 +177,9 @@ def test_analytic_fixed_point_is_stationary():
     ids=["middle", "last"],
 )
 def test_isolated_node_rejected(edge, adjacency):
-    # Graph itself does not check connectivity (build_graph does).
-    g = Graph(n=3, edges=(edge,), adjacency=adjacency)
+    # Graph checks connectivity itself, so no consensus round can start.
     with pytest.raises(Disconnected):
+        g = Graph(n=3, edges=(edge,), adjacency=adjacency)
         admm_step(g, AdmmConfig(), ConsensusState.zeros(3), np.ones(3))
 
 

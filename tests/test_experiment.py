@@ -46,7 +46,7 @@ def test_build_scenario_deterministic():
     g1, m1 = build_scenario(cfg)
     g2, m2 = build_scenario(cfg)
     assert g1.edges == g2.edges
-    assert m1.h == m2.h
+    np.testing.assert_array_equal(m1.h, m2.h)
 
 
 def test_run_convergence_deterministic_bytes(tmp_path):

@@ -159,7 +159,7 @@ def test_ml_variance_channel_scale_invariant_without_tx_noise():
     a = GainVector.ones(3, GainDomain.FIXED_ENERGY)
     models = []
     for scale in (1.0, 2.0):
-        hs = {k: (v if k[0] == k[1] else scale * v) for k, v in h.items()}
+        hs = np.where(g.links.receiver == g.links.sender, h, scale * h)
         m = NetworkModel(graph=g, h=hs, sigma_v_sq=1.0, sigma_n_sq=0.0, theta=1.0)
         plan = select_retainers(g, node_information(m, a))
         models.append(ml_variance(build_global_model(m, plan, a), a))

@@ -4,25 +4,37 @@ import numpy as np
 import pytest
 
 from wsnmle.errors import DimensionMismatch, OutOfRange, SingularCovariance
+from wsnmle.fusion import build_global_model, information_total, noise_cov_rows, sample_received, select_retainers
 from wsnmle.network_model import (
     GainDomain,
     GainVector,
-    LocalModel,
     NetworkModel,
-    information_value,
-    local_model,
-    local_noise_covariance,
     network_from_json,
     network_to_json,
     node_information,
     sample_channels,
-    sample_observations,
 )
 from wsnmle.topology import build_graph, random_connected_graph
 
 
 def _path3():
     return build_graph(3, [(0, 1), (1, 2)])
+
+
+def _at(g, h, receiver, sender):
+    return h[g.links.index([(receiver, sender)])[0]]
+
+
+def _pair(h01=2.0, sigma_v=1.0, sigma_n=1.0, noisy_self=True):
+    # Two nodes; node 0 receives node 1 over channel h01, every other link is 1.
+    g = build_graph(2, [(0, 1)])
+    h = np.ones(4, dtype=complex)
+    h[g.links.index([(0, 1)])] = h01
+    return _model(g, h, sigma_v=sigma_v, sigma_n=sigma_n, noisy_self=noisy_self)
+
+
+def _global(model, gains):
+    return build_global_model(model, select_retainers(model.graph, node_information(model, gains)), gains)
 
 
 def _model(graph, h, sigma_v=1.0, sigma_n=1.0, theta=2.0 + 0.5j, noisy_self=False):
@@ -38,26 +50,27 @@ def _model(graph, h, sigma_v=1.0, sigma_n=1.0, theta=2.0 + 0.5j, noisy_self=Fals
 def test_unit_channels():
     g = _path3()
     h = sample_channels(g, "unit", seed=0)
-    assert all(v == 1.0 for v in h.values())
+    assert h.shape == (2 * g.num_edges + g.n,)
+    assert np.all(h == 1.0)
 
 
 def test_reciprocal_channels():
     g = _path3()
     h = sample_channels(g, "complex_gaussian", reciprocal=True, seed=1)
-    assert h[(0, 1)] == h[(1, 0)]
-    assert h[(1, 2)] == h[(2, 1)]
+    assert _at(g, h, 0, 1) == _at(g, h, 1, 0)
+    assert _at(g, h, 1, 2) == _at(g, h, 2, 1)
 
 
 def test_directional_channels_differ():
     g = _path3()
     h = sample_channels(g, "complex_gaussian", reciprocal=False, seed=1)
-    assert h[(0, 1)] != h[(1, 0)]
-    assert h[(0, 0)] == 1.0 and h[(1, 1)] == 1.0
+    assert _at(g, h, 0, 1) != _at(g, h, 1, 0)
+    assert _at(g, h, 0, 0) == 1.0 and _at(g, h, 1, 1) == 1.0
 
 
 def test_channel_sampling_deterministic():
     g = random_connected_graph(8, "gnp", p=0.6, seed=9)
-    assert sample_channels(g, seed=4) == sample_channels(g, seed=4)
+    np.testing.assert_array_equal(sample_channels(g, seed=4), sample_channels(g, seed=4))
 
 
 def test_channel_second_moment():
@@ -65,7 +78,7 @@ def test_channel_second_moment():
     n = 317
     g = build_graph(n, list(combinations(range(n), 2)))
     h = sample_channels(g, "complex_gaussian", sigma_h=1.0, seed=11)
-    draws = np.array([v for (k, s), v in h.items() if k != s])
+    draws = h[g.links.receiver != g.links.sender]
     assert draws.size >= 100_000
     mean_sq = float(np.mean(np.abs(draws) ** 2))
     assert 0.97 <= mean_sq <= 1.03
@@ -77,15 +90,16 @@ def test_channel_second_moment():
 def test_model_rejects_bad_channel_keys():
     g = _path3()
     h = sample_channels(g, "unit", seed=0)
-    h.pop((0, 1))
     with pytest.raises(DimensionMismatch):
-        _model(g, h)
+        _model(g, h[1:])  # one link short
+    with pytest.raises(DimensionMismatch):
+        _model(g, np.ones(h.size + 1))
 
 
 def test_model_rejects_nonunit_self_channel():
     g = _path3()
     h = sample_channels(g, "unit", seed=0)
-    h[(1, 1)] = 2.0
+    h[g.links.index([(1, 1)])] = 2.0
     with pytest.raises(ValueError):
         _model(g, h)
 
@@ -124,54 +138,54 @@ def test_random_gain_vectors_feasible():
         assert np.max(np.abs(np.abs(um.a) - 1.0)) < 1e-12
 
 
-# --- local models and information ------------------------------------------
+# --- per-link noise and node information ------------------------------------
 
 
 def test_local_noise_covariance_single_row():
-    m = LocalModel(owner=0, senders=(0,), h=[1.0], a=[1.0], sigma_v_sq=[1.0])
-    assert local_noise_covariance(m, 1.0) == pytest.approx([2.0])
+    model = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
+    gains = GainVector.ones(1, GainDomain.FIXED_ENERGY)
+    np.testing.assert_allclose(noise_cov_rows(_global(model, gains), gains), [2.0])
+    assert node_information(model, gains) == pytest.approx([0.5])
 
 
 def test_local_noise_covariance_zero_gains():
-    m = LocalModel(owner=0, senders=(0, 1), h=[1.0, 2.0], a=[0.0, 0.0], sigma_v_sq=[1.0, 1.0])
-    np.testing.assert_allclose(local_noise_covariance(m, 1.0), [1.0, 1.0])
+    # Zero gains leave only the transmission noise on every row.
+    gm = _global(_pair(), GainVector.ones(2, GainDomain.FIXED_ENERGY))
+    np.testing.assert_allclose(noise_cov_rows(gm, np.zeros(2)), np.ones(gm.m))
 
 
 def test_local_noise_covariance_two_rows():
-    m = LocalModel(owner=0, senders=(0, 1), h=[1.0, 2.0], a=[1.0, 1.0], sigma_v_sq=[1.0, 1.0])
-    np.testing.assert_allclose(local_noise_covariance(m, 1.0), [2.0, 5.0])
+    gm = _global(_pair(h01=2.0), GainVector.ones(2, GainDomain.FIXED_ENERGY))
+    at_0 = gm.row_receiver == 0
+    np.testing.assert_array_equal(gm.row_sender[at_0], [0, 1])
+    np.testing.assert_allclose(noise_cov_rows(gm, np.ones(2))[at_0], [2.0, 5.0])
 
 
 def test_local_noise_covariance_singular():
-    m = LocalModel(
-        owner=0, senders=(0,), h=[1.0], a=[0.0], sigma_v_sq=[1.0], tx_mask=[0.0]
-    )
+    # Node 0 has a zero gain and reads itself without transmission noise.
+    model = _pair(noisy_self=False)
     with pytest.raises(SingularCovariance):
-        local_noise_covariance(m, 1.0)
+        node_information(model, GainVector(np.array([0.0, np.sqrt(2.0)]), GainDomain.FIXED_ENERGY))
 
 
 def test_information_value_examples():
-    m1 = LocalModel(owner=0, senders=(0,), h=[1.0], a=[1.0], sigma_v_sq=[1.0])
-    assert information_value(m1, local_noise_covariance(m1, 1.0)) == pytest.approx(0.5)
-
-    m0 = LocalModel(owner=0, senders=(0, 1), h=[1.0, 2.0], a=[0.0, 0.0], sigma_v_sq=[1.0, 1.0])
-    assert information_value(m0, local_noise_covariance(m0, 1.0)) == 0.0
-
-    m2 = LocalModel(owner=0, senders=(0, 1), h=[1.0, 2.0], a=[1.0, 1.0], sigma_v_sq=[1.0, 1.0])
-    assert information_value(m2, local_noise_covariance(m2, 1.0)) == pytest.approx(1.3)
+    ones = GainVector.ones(2, GainDomain.FIXED_ENERGY)
+    single = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
+    assert node_information(single, GainVector.ones(1, GainDomain.FIXED_ENERGY)) == pytest.approx([0.5])
+    gm = _global(_pair(h01=2.0), ones)
+    assert information_total(gm, np.zeros(2)) == 0.0
+    # Node 0 holds its own row (1/2) and node 1's over h = 2 (4/5).
+    assert node_information(_pair(h01=2.0), ones)[0] == pytest.approx(1.3)
 
 
 def test_local_model_rows_and_self_mask():
     g = _path3()
-    model = _model(g, sample_channels(g, "unit", seed=0), noisy_self=False)
-    gains = GainVector.ones(3, GainDomain.FIXED_ENERGY)
-    m = local_model(model, 1, gains)
-    assert m.senders == (0, 1, 2)
-    np.testing.assert_allclose(m.tx_mask, [1.0, 0.0, 1.0])
-    m_subset = local_model(model, 1, gains, senders=[2])
-    assert m_subset.senders == (2,)
+    model = _model(g, sample_channels(g, "unit", seed=0), sigma_n=1.0, noisy_self=False)
+    at_1 = slice(g.links.starts[1], g.links.starts[2])
+    np.testing.assert_array_equal(g.links.sender[at_1], [0, 1, 2])
+    np.testing.assert_allclose(model.tx_noise()[at_1], [1.0, 0.0, 1.0])
     with pytest.raises(OutOfRange):
-        local_model(model, 0, gains, senders=[2])  # 2 is not adjacent to 0
+        g.links.index([(0, 2)])  # 2 is not adjacent to 0
 
 
 def test_information_phase_invariant():
@@ -194,30 +208,33 @@ def test_information_decreases_with_transmission_noise():
     assert np.all(node_information(hi, gains) < node_information(lo, gains))
 
 
-# --- observation sampling ---------------------------------------------------
+# --- received observations -------------------------------------------------
 
 
 def test_observations_deterministic():
     g = _path3()
     model = _model(g, sample_channels(g, seed=0))
-    d1 = sample_observations(model, seed=21)
-    d2 = sample_observations(model, seed=21)
-    np.testing.assert_array_equal(d1.z, d2.z)
-    assert d1.obs_noise == d2.obs_noise
-    assert d1.tx_noise == d2.tx_noise
+    gains = GainVector.ones(3, GainDomain.FIXED_ENERGY)
+    gm = _global(model, gains)
+    y1 = sample_received(model, gm, gains, seed=21)
+    np.testing.assert_array_equal(y1, sample_received(model, gm, gains, seed=21))
+    assert not np.array_equal(y1, sample_received(model, gm, gains, seed=22))
 
 
 def test_observations_vanishing_noise():
     g = _path3()
-    model = _model(g, sample_channels(g, seed=0), sigma_v=1e-12, theta=3.0 - 1.0j)
-    draw = sample_observations(model, seed=8)
-    assert np.max(np.abs(draw.z - model.theta)) < 1e-5
+    model = _model(g, sample_channels(g, seed=0), sigma_v=1e-12, sigma_n=0.0, theta=3.0 - 1.0j)
+    gains = GainVector.ones(3, GainDomain.FIXED_ENERGY)
+    gm = _global(model, gains)
+    y = sample_received(model, gm, gains, seed=8)
+    assert np.max(np.abs(y / gm.row_h - model.theta)) < 1e-5
 
 
 def test_observation_mean_matches_parameter():
-    g = build_graph(1, [])
-    model = _model(g, {(0, 0): 1.0}, sigma_v=1.0, theta=2.0 + 0.5j)
-    draws = np.array([sample_observations(model, seed=s).z[0] for s in range(20_000)])
+    model = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, theta=2.0 + 0.5j)
+    gains = GainVector.ones(1, GainDomain.FIXED_ENERGY)
+    gm = _global(model, gains)
+    draws = np.array([sample_received(model, gm, gains, seed=s)[0] for s in range(20_000)])
     err = abs(np.mean(draws) - model.theta)
     assert err < 3.0 / np.sqrt(20_000)
 
@@ -231,7 +248,7 @@ def test_network_serialization_round_trip():
                    theta=1.5 - 0.25j, noisy_self=True)
     text = network_to_json(model)
     back = network_from_json(text)
-    assert back.h == model.h
+    np.testing.assert_array_equal(back.h, model.h)
     assert back.theta == model.theta
     assert back.sigma_n_sq == model.sigma_n_sq
     assert back.noisy_self_link == model.noisy_self_link

@@ -5,11 +5,13 @@ import pytest
 from wsnmle.errors import (
     Disconnected,
     DuplicateEdge,
+    MalformedGraph,
     OutOfRange,
     RetriesExhausted,
     SelfLoop,
 )
 from wsnmle.topology import (
+    Graph,
     build_graph,
     degree,
     graph_from_json,
@@ -121,3 +123,44 @@ def test_json_round_trip_bit_exact():
     g2, seed, model = graph_from_json(text)
     assert g2 == g
     assert graph_to_json(g2, seed=seed, model=model) == text
+
+
+# --- Graph checks its own invariants ------------------------------------------
+
+
+def test_graph_validates_connectivity():
+    with pytest.raises(Disconnected):
+        Graph(n=3, edges=((0, 2),), adjacency=((2,), (), (0,)))
+
+
+def test_graph_validates_adjacency_is_symmetric_closure():
+    with pytest.raises(MalformedGraph):
+        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0,), (1,)))
+    with pytest.raises(MalformedGraph):
+        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (2, 0), (1,)))
+    with pytest.raises(MalformedGraph):
+        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2)))
+
+
+def test_graph_validates_canonical_edges():
+    with pytest.raises(MalformedGraph):
+        Graph(n=2, edges=((1, 0),), adjacency=((1,), (0,)))
+    with pytest.raises(MalformedGraph):
+        Graph(n=3, edges=((1, 2), (0, 1)), adjacency=((1,), (0, 2), (1,)))
+
+
+def test_graph_validates_edge_ids():
+    with pytest.raises(SelfLoop):
+        Graph(n=2, edges=((0, 0), (0, 1)), adjacency=((1,), (0,)))
+    with pytest.raises(DuplicateEdge):
+        Graph(n=2, edges=((0, 1), (0, 1)), adjacency=((1,), (0,)))
+    with pytest.raises(OutOfRange):
+        Graph(n=2, edges=((0, 2),), adjacency=((1,), (0,)))
+    with pytest.raises(OutOfRange):
+        Graph(n=0, edges=(), adjacency=())
+
+
+def test_hand_built_graph_equals_built_graph():
+    g = Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2), (1,)))
+    assert g == build_graph(3, [(2, 1), (1, 0)])
+    assert g.links.sender.tolist() == [0, 1, 0, 1, 2, 1, 2]
