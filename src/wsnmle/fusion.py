@@ -16,12 +16,12 @@ operations; no dense inverse appears anywhere in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance, ZeroInformation
-from .network_model import GainVector, NetworkModel
+from .errors import DimensionMismatch, ZeroInformation
+from .network_model import GainVector, NetworkModel, link_information
 from .topology import Graph
 
 __all__ = [
@@ -46,14 +46,11 @@ class SelectionPlan:
 
     ``retained`` lists the surviving ``(receiver, sender)`` pairs,
     self links included, sorted.  ``r`` counts the discarded external
-    links: ``r = 2|E| - (retained external links)``.  ``links`` holds the
-    retained pairs' indices in the graph's link table when the plan comes
-    from :func:`select_retainers`.
+    links: ``r = 2|E| - (retained external links)``.
     """
 
     retained: tuple[tuple[int, int], ...]
     r: int
-    links: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def rows_at(self, i: int) -> tuple[int, ...]:
         """Senders retained at receiver ``i``, ascending."""
@@ -84,7 +81,7 @@ def select_retainers(g: Graph, info: np.ndarray) -> SelectionPlan:
     picked = links.reverse[first[~own[first]]]
     kept = np.sort(np.concatenate((np.flatnonzero(own), picked)))
     retained = tuple(zip(links.receiver[kept].tolist(), links.sender[kept].tolist()))
-    return SelectionPlan(retained=retained, r=2 * g.num_edges - picked.size, links=kept)
+    return SelectionPlan(retained=retained, r=2 * g.num_edges - picked.size)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVect
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
     links = model.graph.links
-    idx = links.index(plan.retained) if plan.links is None else plan.links
+    idx = links.index(plan.retained)
     return GlobalModel(
         n=model.n,
         row_receiver=links.receiver[idx],
@@ -153,35 +150,32 @@ def _gain_array(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def noise_cov_rows(gm: GlobalModel, a) -> np.ndarray:
-    """Diagonal of the combined noise covariance under gains ``a``."""
+def _row_terms(gm: GlobalModel, a):
+    # Signal h a, information and combined noise variance of every row.
     a = _gain_array(a)
     if a.size != gm.n:
         raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
-    cov = np.abs(gm.row_h * a[gm.row_sender]) ** 2 * gm.row_sigma_v() + gm.sigma_rows
-    if np.any(cov <= 0.0):
-        raise SingularCovariance(
-            f"zero combined noise in rows {np.nonzero(cov <= 0.0)[0].tolist()}"
-        )
-    return cov
+    signal = gm.row_h * a[gm.row_sender]
+    return (signal, *link_information(signal, gm.row_sigma_v(), gm.sigma_rows))
+
+
+def noise_cov_rows(gm: GlobalModel, a) -> np.ndarray:
+    """Diagonal of the combined noise covariance under gains ``a``."""
+    return _row_terms(gm, a)[2]
 
 
 def information_total(gm: GlobalModel, a) -> float:
     """Global Fisher information: sum over rows of |h a|^2 / cov."""
-    a = _gain_array(a)
-    cov = noise_cov_rows(gm, a)
-    return float(np.sum(np.abs(gm.row_h * a[gm.row_sender]) ** 2 / cov))
+    return float(np.sum(_row_terms(gm, a)[1]))
 
 
 def ml_estimate(y: np.ndarray, gm: GlobalModel, gains=None) -> complex:
     """Centralized ML estimate of the parameter from the received vector."""
-    a = gm.gains.a if gains is None else _gain_array(gains)
     y = np.asarray(y, dtype=complex)
     if y.size != gm.m:
         raise DimensionMismatch(f"received vector has {y.size} entries for {gm.m} rows")
-    cov = noise_cov_rows(gm, a)
-    signal = gm.row_h * a[gm.row_sender]
-    info = float(np.sum(np.abs(signal) ** 2 / cov))
+    signal, info_rows, cov = _row_terms(gm, gm.gains.a if gains is None else gains)
+    info = float(np.sum(info_rows))
     if info <= 0.0:
         raise ZeroInformation("total information is zero")
     return complex(np.sum(np.conj(signal) * y / cov) / info)
@@ -206,10 +200,7 @@ def decompose_information(gm: GlobalModel, gains=None, y=None):
     ``sum(I) == information_total`` and ``sum(P)`` equals the global
     matched-filter projection.
     """
-    a = gm.gains.a if gains is None else _gain_array(gains)
-    cov = noise_cov_rows(gm, a)
-    signal = gm.row_h * a[gm.row_sender]
-    info_rows = np.abs(signal) ** 2 / cov
+    signal, info_rows, cov = _row_terms(gm, gm.gains.a if gains is None else gains)
     I0 = np.zeros(gm.n)
     np.add.at(I0, gm.row_receiver, info_rows)
     if y is None:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance
+from .errors import DimensionMismatch, OutOfRange, SingularCovariance
 from .topology import Graph, build_graph
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "GainVector",
     "NetworkModel",
     "sample_channels",
+    "link_information",
     "node_information",
     "network_to_json",
     "network_from_json",
@@ -181,26 +182,35 @@ def sample_channels(
     return h
 
 
+def link_information(signal: np.ndarray, sigma_v: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information and combined noise variance of each reception.
+
+    A reception carrying ``signal = h a`` from a sensor with
+    observation-noise variance ``sigma_v``, plus transmission noise of
+    variance ``tx``, has noise variance ``cov = |signal|^2 sigma_v + tx``
+    and information ``|signal|^2 / cov``.  Returns ``(info, cov)``.
+    Raises :class:`SingularCovariance` if any ``cov`` is zero (a zeroed
+    gain on a reception without transmission noise).
+    """
+    power = np.abs(signal) ** 2
+    cov = power * sigma_v + tx
+    if np.any(cov <= 0.0):
+        raise SingularCovariance(f"zero combined noise in receptions {np.flatnonzero(cov <= 0.0).tolist()}")
+    return power / cov, cov
+
+
 def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
     """Information value at every node from its full (uncompressed) stack.
 
-    Node ``i`` holds ``sum |h a_s|^2 / (|h a_s|^2 sigma_v_s^2 + tx_s)``
-    over the links it receives; the reciprocal is the variance of the ML
-    estimate formed from those rows alone.  Raises
-    :class:`SingularCovariance` if a link's combined noise is zero (a
-    zeroed gain on a link without transmission noise).
+    Node ``i`` holds the sum of :func:`link_information` over the links it
+    receives; the reciprocal is the variance of the ML estimate formed
+    from those rows alone.
     """
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
     links = model.graph.links
-    power = np.abs(model.h * gains.a[links.sender]) ** 2
-    cov = power * model.sigma_v_sq[links.sender] + model.tx_noise()
-    if np.any(cov <= 0.0):
-        bad = np.nonzero(cov <= 0.0)[0]
-        raise SingularCovariance(
-            f"zero noise variance on links {list(zip(links.receiver[bad].tolist(), links.sender[bad].tolist()))}"
-        )
-    return np.add.reduceat(power / cov, links.starts)
+    info, _ = link_information(model.h * gains.a[links.sender], model.sigma_v_sq[links.sender], model.tx_noise())
+    return np.add.reduceat(info, links.starts)
 
 
 def network_to_json(model: NetworkModel) -> str:
@@ -225,7 +235,10 @@ def network_from_json(text: str) -> NetworkModel:
     doc = json.loads(text)
     graph = build_graph(doc["n"], doc["edges"])
     rows = doc["channels"]
-    idx = graph.links.index([row[:2] for row in rows])
+    try:
+        idx = graph.links.index([row[:2] for row in rows])
+    except OutOfRange as err:
+        raise DimensionMismatch(f"channel table: {err}") from None
     if not np.array_equal(np.sort(idx), np.arange(graph.links.sender.size)):
         raise DimensionMismatch("channel table does not list every directed link plus self link once")
     h = np.empty(idx.size, dtype=complex)

@@ -106,8 +106,8 @@ def test_link_table_matches_per_link_oracles(graph, channel, noisy_self):
         plan = select_retainers(g, info)
         assert plan == _max_selection(g, info)
         assert plan == select_retainers(g, oracle_info) == _max_selection(g, oracle_info)
-        kept = list(zip(g.links.receiver[plan.links].tolist(), g.links.sender[plan.links].tolist()))
-        assert tuple(kept) == plan.retained
+        gm = build_global_model(model, plan, gains)
+        assert tuple(zip(gm.row_receiver.tolist(), gm.row_sender.tolist())) == plan.retained
 
 
 # --- properties of the link table on random graphs ---------------------------
@@ -175,6 +175,6 @@ def test_information_partitions_and_matches_uncompressed_stack(g, seed, noisy_se
     total = information_total(gm, gains)
     assert abs(float(np.sum(decompose_information(gm, gains))) - total) <= 1e-12 * total
     # Node information is the partition of the uncompressed link table.
-    every = np.arange(g.links.sender.size)
-    full = build_global_model(model, SelectionPlan(retained=(), r=0, links=every), gains)
+    every = tuple(zip(g.links.receiver.tolist(), g.links.sender.tolist()))
+    full = build_global_model(model, SelectionPlan(retained=every, r=0), gains)
     np.testing.assert_allclose(decompose_information(full, gains), info, rtol=1e-13)
