@@ -53,10 +53,6 @@ class ZeroTransmissionNoise(ModelError):
     """Transmission noise variance must be positive for gain optimization."""
 
 
-class SingularR(ModelError):
-    """The bordered covariance matrix could not be inverted."""
-
-
 class MonotonicityViolation(WsnMleError):
     """An iteration that must not worsen its objective did (beyond slack)."""
 

@@ -52,10 +52,6 @@ class SelectionPlan:
     retained: tuple[tuple[int, int], ...]
     r: int
 
-    def rows_at(self, i: int) -> tuple[int, ...]:
-        """Senders retained at receiver ``i``, ascending."""
-        return tuple(s for k, s in self.retained if k == i)
-
 
 def select_retainers(g: Graph, info: np.ndarray) -> SelectionPlan:
     """Assign each broadcast to the neighbor with the highest information.

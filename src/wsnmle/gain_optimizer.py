@@ -13,21 +13,26 @@ covariance with the signal vector:
 
 For fixed gains the optimal ``y`` is the normalized first column of
 ``R^{-1}`` (equivalently the vector orthogonal to all but the first row
-of ``R``, computable by Gram-Schmidt), and its objective value equals
-``eta``.  For fixed ``y`` the objective is an exact quadratic in the
-gains through an (N+1)-dimensional arrow matrix ``Q``; diagonally loading
-``Q`` turns the constrained quadratic maximization into power-method-like
-iterations whose objective never decreases.  Alternating the two updates
-drives ``eta`` monotonically down.
+of ``R``, the paper's Gram-Schmidt step), and its objective value equals
+``eta``.  Because ``C(a)`` is diagonal after compression, ``R`` is an
+arrow matrix and that vector has the closed form ``(1, -Ha / C(a))``.
+For fixed ``y`` the objective is an exact quadratic in the gains through
+an (N+1)-dimensional arrow matrix ``Q``; diagonally loading ``Q`` turns
+the constrained quadratic maximization into power-method-like iterations
+whose objective never decreases.  Alternating the two updates drives
+``eta`` monotonically down.  Neither matrix is ever formed densely by the
+optimizer; :func:`build_R` and :meth:`Arrow.dense` exist as references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, MonotonicityViolation, SingularR, ZeroTransmissionNoise
+from .errors import DimensionMismatch, MonotonicityViolation, ZeroTransmissionNoise
 from .fusion import GlobalModel, information_total, noise_cov_rows
 from .network_model import GainDomain, GainVector
 
@@ -39,6 +44,7 @@ __all__ = [
     "build_R",
     "update_y",
     "g_value",
+    "Arrow",
     "build_Q",
     "lambda_max_estimate",
     "project_gains",
@@ -49,13 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the cyclic optimizer.
-
-    ``y_method`` selects how the auxiliary vector is recomputed:
-    ``"solve"`` uses a dense linear solve against the first basis vector,
-    ``"gram_schmidt"`` orthogonalizes against all but the first row of
-    the bordered matrix.  Both agree to high accuracy.
-    """
+    """Knobs of the cyclic optimizer."""
 
     eta0_factor: float = 1.01
     lambda_margin: float = 1.05
@@ -63,7 +63,6 @@ class OptimizerConfig:
     inner_iters: int = 500
     inner_tol: float = 1e-10
     max_outer: int = 200
-    y_method: str = "solve"
     eps_abs: float = 1e-9          # additive floor on the diagonal load
     monotone_slack: float = 1e-10  # tolerance on the non-increase checks
 
@@ -76,8 +75,6 @@ class OptimizerConfig:
             raise ValueError("tolerances must be positive")
         if min(self.inner_iters, self.max_outer) < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.y_method not in ("solve", "gram_schmidt"):
-            raise ValueError(f"unknown y_method {self.y_method!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,11 @@ def safe_eta0(gm: GlobalModel, cfg: OptimizerConfig) -> float:
 
 
 def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
-    """Assemble the Hermitian bordered matrix for gains ``a``."""
+    """Assemble the dense Hermitian bordered matrix for gains ``a``.
+
+    The paper's reference form; the optimizer itself only ever uses its
+    closed-form consequences (:func:`update_y`).
+    """
     a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
     if a.size != gm.n:
         raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
@@ -162,60 +163,22 @@ def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
     return R
 
 
-def _orthonormalize(cols: np.ndarray) -> np.ndarray:
-    # Modified Gram-Schmidt with one re-orthogonalization pass per column;
-    # the repeat keeps the basis orthonormal even for ill-conditioned R.
-    q = np.array(cols, dtype=complex)
-    k = q.shape[1]
-    for j in range(k):
-        v = q[:, j]
-        for _ in range(2):
-            for i in range(j):
-                v = v - (np.conj(q[:, i]) @ v) * q[:, i]
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise SingularR("dependent rows in the bordered matrix")
-        q[:, j] = v / norm
-    return q
+def update_y(gm: GlobalModel, a) -> AuxVector:
+    """Minimize the bordered quadratic form over vectors with first component 1.
 
-
-def update_y(R: np.ndarray, method: str = "solve") -> AuxVector:
-    """Minimize the quadratic form over vectors with first component 1.
-
-    ``solve`` normalizes the solution of ``R y = e1``; ``gram_schmidt``
-    projects ``e1`` onto the orthogonal complement of all but the first
-    row of ``R`` and rescales.  Either way the result satisfies
-    ``R y ~ eta * e1``.
+    ``R(a)`` is an arrow matrix (diagonal ``cov`` bordered by ``Ha``), so
+    the vector orthogonal to all but its first row -- what a dense solve
+    of ``R y = e1`` or Gram-Schmidt would return after normalization --
+    is ``y = (1, -Ha / cov)``, and ``R y = eta e1``.  Raises
+    :class:`SingularCovariance` if some row has zero combined noise.
     """
-    m1 = R.shape[0]
-    e1 = np.zeros(m1, dtype=complex)
-    e1[0] = 1.0
-    if method == "solve":
-        try:
-            raw = np.linalg.solve(R, e1)
-        except np.linalg.LinAlgError as exc:
-            raise SingularR("bordered matrix is singular") from exc
-        pivot = raw[0]
-    elif method == "gram_schmidt":
-        # Rows 2..M+1 of the Hermitian R are the conjugates of its
-        # columns 2..M+1, so the sought direction is the complement of
-        # the span of those columns.
-        basis = _orthonormalize(R[:, 1:])
-        raw = e1.copy()
-        for _ in range(2):
-            raw = raw - basis @ (np.conj(basis.T) @ raw)
-        pivot = raw[0]
-    else:
-        raise ValueError(f"unknown y_method {method!r}")
-    if pivot == 0.0 or not np.isfinite(abs(pivot)):
-        raise SingularR("bordered matrix is singular")
-    y = raw / pivot
-    y[0] = 1.0
-    return AuxVector(y=y)
+    a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
+    cov = noise_cov_rows(gm, a)
+    return AuxVector(y=np.concatenate(([1.0 + 0j], -gm.row_h * a[gm.row_sender] / cov)))
 
 
 def g_value(y: AuxVector, R: np.ndarray) -> float:
-    """Evaluate the (real) quadratic form of the bordered matrix."""
+    """Evaluate the (real) quadratic form of the dense bordered matrix."""
     if y.y.size != R.shape[0]:
         raise DimensionMismatch(
             f"auxiliary vector of length {y.y.size} for a {R.shape[0]}x{R.shape[1]} matrix"
@@ -223,7 +186,27 @@ def g_value(y: AuxVector, R: np.ndarray) -> float:
     return float(np.real(np.conj(y.y) @ (R @ y.y)))
 
 
-def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float):
+class Arrow(NamedTuple):
+    """Hermitian (N+1)-square arrow matrix stored in O(N).
+
+    The top-left N-by-N block is ``diag(top)``, the last column is
+    ``(border, 0)`` and the last row its conjugate.
+    """
+
+    top: np.ndarray
+    border: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The full matrix, for reference checks."""
+        n = self.top.size
+        Q = np.zeros((n + 1, n + 1), dtype=complex)
+        Q[np.diag_indices(n)] = self.top
+        Q[:n, n] = self.border
+        Q[n, :n] = np.conj(self.border)
+        return Q
+
+
+def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float) -> tuple[Arrow, float]:
     """Recast the quadratic form as an arrow matrix in the gains.
 
     For fixed tail ``ytilde`` of the auxiliary vector,
@@ -235,6 +218,7 @@ def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float):
     the tail-weighted channel energies times the sender's observation
     variance; its border is ``H^H ytilde``.  (When every sender occupies
     a single row this equals the rank-one form ``(H^H y y^H H) .* V``.)
+    Returns ``(Q, C1)`` with ``Q`` as an :class:`Arrow`.
     """
     ytilde = np.asarray(ytilde, dtype=complex)
     if ytilde.size != gm.m:
@@ -242,38 +226,35 @@ def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float):
     weights = np.abs(gm.row_h) ** 2 * np.abs(ytilde) ** 2
     top = np.zeros(gm.n)
     np.add.at(top, gm.row_sender, weights)
-    top = top * gm.v_diag
     border = np.zeros(gm.n, dtype=complex)
     np.add.at(border, gm.row_sender, np.conj(gm.row_h) * ytilde)
-    Q = np.zeros((gm.n + 1, gm.n + 1), dtype=complex)
-    Q[np.diag_indices(gm.n)] = top
-    Q[: gm.n, gm.n] = border
-    Q[gm.n, : gm.n] = np.conj(border)
     c1 = float(eta0 + np.sum(gm.sigma_rows * np.abs(ytilde) ** 2))
-    return Q, c1
+    return Arrow(top * gm.v_diag, border), c1
 
 
-def lambda_max_estimate(Q: np.ndarray, iters: int = 200) -> float:
-    """Largest eigenvalue of a Hermitian matrix by shifted power iteration.
+def lambda_max_estimate(Q: Arrow, iters: int = 200) -> float:
+    """Largest eigenvalue of an arrow matrix by shifted power iteration.
 
     Shifting by the Frobenius norm makes the spectrum nonnegative, so the
     dominant eigenvalue of the shifted matrix is the one sought plus the
     shift.  A fixed, slightly tilted start vector keeps the estimate
-    deterministic.
+    deterministic.  The iterate is kept as its first N entries ``head``
+    and its last entry ``last``, so each step costs O(N).
     """
-    k = Q.shape[0]
-    shift = float(np.linalg.norm(Q))
+    shift = float(np.sqrt(np.sum(Q.top**2) + 2.0 * np.sum(np.abs(Q.border) ** 2)))
     if shift == 0.0:
         return 0.0
-    v = 1.0 + 1e-3 * np.arange(k)
+    v = 1.0 + 1e-3 * np.arange(Q.top.size + 1)
     v = v.astype(complex) / np.linalg.norm(v)
+    head, last = v[:-1], complex(v[-1])
+    diag = Q.top + shift
     for _ in range(iters):
-        w = Q @ v + shift * v
-        norm = np.linalg.norm(w)
+        head, last = diag * head + Q.border * last, complex(np.vdot(Q.border, head)) + shift * last
+        norm = math.sqrt(np.vdot(head, head).real + abs(last) ** 2)
         if norm == 0.0:
             return 0.0
-        v = w / norm
-    rayleigh = float(np.real(np.conj(v) @ (Q @ v)))
+        head, last = head / norm, last / norm
+    rayleigh = float(np.sum(Q.top * np.abs(head) ** 2) + 2.0 * np.real(last * np.vdot(head, Q.border)))
     return max(rayleigh, 0.0)
 
 
@@ -293,32 +274,33 @@ def project_gains(ahat: np.ndarray, domain: GainDomain):
     return np.sqrt(ahat.size) * ahat / norm
 
 
-def power_iterate(a: GainVector, Q: np.ndarray, cfg: OptimizerConfig):
+def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
     """Maximize the loaded quadratic form over the gain domain.
 
     Repeats ``a <- project(first N components of (lambda I - Q) (a, 1))``
-    until the gains stop moving or the cap is hit.  The loaded form
-    ``(a,1)^H (lambda I - Q) (a,1)`` never decreases across iterations
-    (a drop beyond a small slack raises :class:`MonotonicityViolation`).
-    Returns the new gains and the number of iterations used.
+    until the gains stop moving or the cap is hit.  Those components are
+    ``v = (lambda - top) a - border``, and the loaded form at the same
+    gains is ``(a,1)^H (lambda I - Q) (a,1) = Re<a, v - border> + lambda``,
+    so each step costs one O(N) product.  The loaded form never decreases
+    across iterations (a drop beyond a small slack raises
+    :class:`MonotonicityViolation`).  Returns the new gains and the number
+    of iterations used.
     """
-    n = a.n
-    if Q.shape != (n + 1, n + 1):
-        raise DimensionMismatch(f"Q is {Q.shape} for {n} gains")
+    if Q.top.shape != (a.n,) or Q.border.shape != (a.n,):
+        raise DimensionMismatch(f"arrow of size {Q.top.size + 1} for {a.n} gains")
     lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
+    load = lam - Q.top
     cur = a.a.copy()
-    w = np.append(cur, 1.0)
-    obj = float(np.real(np.conj(w) @ (lam * w - Q @ w)))
+    v = load * cur - Q.border
+    obj = float(np.real(np.vdot(cur, v - Q.border))) + lam
     used = 0
     for t in range(cfg.inner_iters):
-        w = np.append(cur, 1.0)
-        v = lam * w - Q @ w
-        new = project_gains(v[:n], a.domain)
+        new = project_gains(v, a.domain)
         used = t + 1
         if new is None:
             break
-        w_new = np.append(new, 1.0)
-        obj_new = float(np.real(np.conj(w_new) @ (lam * w_new - Q @ w_new)))
+        v = load * new - Q.border
+        obj_new = float(np.real(np.vdot(new, v - Q.border))) + lam
         if obj_new < obj - cfg.monotone_slack * max(1.0, abs(obj)):
             raise MonotonicityViolation(f"loaded quadratic form decreased: {obj} -> {obj_new}")
         step = float(np.max(np.abs(new - cur)))
@@ -358,15 +340,13 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
     eta_prev = record(a, 0)
     best_eta = eta_prev
     best_a = a
-    R = build_R(gm, a.a, eta0)
-    y = update_y(R, cfg.y_method)
+    y = update_y(gm, a)
     converged = False
     cycles = 0
     for _ in range(cfg.max_outer):
         Q, _c1 = build_Q(gm, y.tail, eta0)
         a, used = power_iterate(a, Q, cfg)
-        R = build_R(gm, a.a, eta0)
-        y = update_y(R, cfg.y_method)
+        y = update_y(gm, a)
         eta = record(a, used)
         cycles += 1
         if eta > eta_prev + cfg.monotone_slack:

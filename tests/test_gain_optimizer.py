@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from wsnmle import gain_optimizer
-from wsnmle.errors import MonotonicityViolation, SingularR, ZeroTransmissionNoise
+from wsnmle.errors import MonotonicityViolation, SingularCovariance, ZeroTransmissionNoise
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
+    Arrow,
     AuxVector,
     OptimizerConfig,
     build_Q,
@@ -106,7 +107,7 @@ def test_build_R_zero_gains_block_diagonal():
     assert np.all(R[0, 1:] == 0) and np.all(R[1:, 0] == 0)
     assert R[0, 0] == eta0
     # eta degenerates to the offset itself
-    assert g_value(update_y(R), R) == pytest.approx(eta0)
+    assert g_value(update_y(gm, np.zeros(3)), R) == pytest.approx(eta0)
 
 
 def test_inverse_entry_identity():
@@ -131,7 +132,7 @@ def test_update_y_scalar_closed_form():
     gm = _gm_rows([1.0], [1.0], [1.0])
     R = build_R(gm, np.array([1.0]), eta0=2.0)
     np.testing.assert_allclose(R, [[2.0, 1.0], [1.0, 2.0]])
-    y = update_y(R)
+    y = update_y(gm, np.array([1.0]))
     np.testing.assert_allclose(y.y, [1.0, -0.5], atol=1e-14)
     assert g_value(y, R) == pytest.approx(1.5)
 
@@ -139,25 +140,28 @@ def test_update_y_scalar_closed_form():
 def test_update_y_zero_gains_returns_basis_vector():
     model, a, gm = _scenario(3, 40, noisy_self=True)
     R = build_R(gm, np.zeros(3), eta0=4.0)
-    y = update_y(R)
+    y = update_y(gm, np.zeros(3))
     np.testing.assert_allclose(y.y, np.eye(gm.m + 1)[0], atol=1e-14)
     assert g_value(y, R) == pytest.approx(4.0)
 
 
 def test_update_y_residual_and_method_agreement():
+    # The closed form against the normalized dense solve of R y = e1.
     for seed in range(10):
         model, a, gm = _scenario(5, 50 + seed)
         rng = np.random.default_rng(seed)
         ar = GainVector.random(5, GainDomain.FIXED_ENERGY, rng)
         R = build_R(gm, ar.a, safe_eta0(gm, OptimizerConfig()))
-        ys = update_y(R, "solve")
-        yg = update_y(R, "gram_schmidt")
-        assert ys.y[0] == 1.0 and yg.y[0] == 1.0
+        e1 = np.eye(gm.m + 1)[0]
+        col = np.linalg.solve(R, e1)
+        ys = col / col[0]
+        yc = update_y(gm, ar)
+        assert yc.y[0] == 1.0
         # all rows but the first must be orthogonal to the result
-        for y in (ys, yg):
-            residual = R @ y.y
+        for y in (ys, yc.y):
+            residual = R @ y
             assert float(np.max(np.abs(residual[1:]))) <= 1e-9 * max(1.0, abs(residual[0]))
-        assert float(np.max(np.abs(ys.y - yg.y))) <= 1e-8
+        assert float(np.max(np.abs(ys - yc.y))) <= 1e-8
 
 
 def test_update_y_is_the_minimizer():
@@ -165,7 +169,7 @@ def test_update_y_is_the_minimizer():
     rng = np.random.default_rng(61)
     ar = GainVector.random(4, GainDomain.FIXED_ENERGY, rng)
     R = build_R(gm, ar.a, safe_eta0(gm, OptimizerConfig()))
-    y_star = update_y(R)
+    y_star = update_y(gm, ar)
     g_star = g_value(y_star, R)
     for _ in range(1000):
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
@@ -173,11 +177,14 @@ def test_update_y_is_the_minimizer():
         assert g_value(y, R) >= g_star - 1e-10 * g_star
 
 
-def test_update_y_singular_matrix():
-    with pytest.raises(SingularR):
-        update_y(np.zeros((3, 3), dtype=complex), "solve")
-    with pytest.raises(SingularR):
-        update_y(np.zeros((3, 3), dtype=complex), "gram_schmidt")
+def test_update_y_singular_covariance():
+    # A zeroed gain on a row without transmission noise (the noiseless
+    # self row) leaves that row with zero combined noise.
+    model, a, gm = _scenario(3, 45)
+    zeroed = np.ones(3, dtype=complex)
+    zeroed[1] = 0.0
+    with pytest.raises(SingularCovariance):
+        update_y(gm, zeroed)
 
 
 def test_aux_vector_requires_unit_head():
@@ -191,7 +198,7 @@ def test_aux_vector_requires_unit_head():
 def test_build_Q_zero_tail():
     model, a, gm = _scenario(3, 70)
     Q, c1 = build_Q(gm, np.zeros(gm.m), eta0=3.0)
-    assert np.all(Q == 0)
+    assert np.all(Q.top == 0) and np.all(Q.border == 0)
     assert c1 == pytest.approx(3.0)
 
 
@@ -199,7 +206,7 @@ def test_build_Q_scalar_arrow():
     gm = _gm_rows([1.0], [1.0], [1.0])
     t = 0.4 - 1.1j
     Q, c1 = build_Q(gm, np.array([t]), eta0=2.0)
-    np.testing.assert_allclose(Q, [[abs(t) ** 2, t], [np.conj(t), 0.0]])
+    np.testing.assert_allclose(Q.dense(), [[abs(t) ** 2, t], [np.conj(t), 0.0]])
     assert c1 == pytest.approx(2.0 + abs(t) ** 2)
 
 
@@ -211,12 +218,13 @@ def test_quadratic_recast_matches_bordered_form():
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         y = np.concatenate(([1.0 + 0j], tail))
         Q, c1 = build_Q(gm, tail, eta0)
+        Qd = Q.dense()
         for _ in range(10):
             ar = GainVector.random(5, GainDomain.FIXED_ENERGY, rng).a
             R = build_R(gm, ar, eta0)
             lhs = float(np.real(np.conj(y) @ (R @ y)))
             w = np.append(ar, 1.0)
-            rhs = c1 + float(np.real(np.conj(w) @ (Q @ w)))
+            rhs = c1 + float(np.real(np.conj(w) @ (Qd @ w)))
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -255,10 +263,9 @@ def test_lambda_max_estimate_close_to_dense_eigensolver():
     rng = np.random.default_rng(100)
     for _ in range(10):
         k = int(rng.integers(2, 9))
-        raw = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        Q = raw + np.conj(raw.T)
+        Q = Arrow(rng.standard_normal(k - 1), rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1))
         est = lambda_max_estimate(Q)
-        true = float(np.max(np.linalg.eigvalsh(Q)))
+        true = float(np.max(np.linalg.eigvalsh(Q.dense())))
         assert est <= true + 1e-9 * max(1.0, abs(true))
         assert est >= true - 1e-6 * max(1.0, abs(true))
 
@@ -270,14 +277,15 @@ def test_power_iterate_monotone_loaded_form():
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q, _ = build_Q(gm, tail, safe_eta0(gm, cfg))
+        Qd = Q.dense()
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
             lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
             w0 = np.append(start.a, 1.0)
-            before = float(np.real(np.conj(w0) @ (lam * w0 - Q @ w0)))
+            before = float(np.real(np.conj(w0) @ (lam * w0 - Qd @ w0)))
             out, used = power_iterate(start, Q, cfg)
             w1 = np.append(out.a, 1.0)
-            after = float(np.real(np.conj(w1) @ (lam * w1 - Q @ w1)))
+            after = float(np.real(np.conj(w1) @ (lam * w1 - Qd @ w1)))
             assert after >= before - 1e-10 * max(1.0, abs(before))
             assert used >= 1
             # feasibility preserved
@@ -292,7 +300,7 @@ def test_diagonal_load_keeps_matrix_psd():
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q, _ = build_Q(gm, tail, safe_eta0(gm, cfg))
         lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
-        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q)))
+        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         assert mineig >= -1e-9
 
 
@@ -307,6 +315,88 @@ def test_underestimated_load_raises_monotonicity_violation(monkeypatch):
 
 
 # --- full optimization -----------------------------------------------------------
+
+
+def _dense_lambda_max(Q, iters=200):
+    # Shifted power iteration on the dense matrix, same start and shift.
+    shift = float(np.linalg.norm(Q))
+    if shift == 0.0:
+        return 0.0
+    v = 1.0 + 1e-3 * np.arange(Q.shape[0])
+    v = v.astype(complex) / np.linalg.norm(v)
+    for _ in range(iters):
+        w = Q @ v + shift * v
+        v = w / np.linalg.norm(w)
+    return max(float(np.real(np.conj(v) @ (Q @ v))), 0.0)
+
+
+def _dense_optimize(gm, cfg, a_init):
+    # The cyclic algorithm on dense matrices: y from solve(R, e1), a dense
+    # (N+1)-square Q, and power steps with the loaded form re-evaluated.
+    eta0 = safe_eta0(gm, cfg)
+    n, domain = gm.n, a_init.domain
+    e1 = np.eye(gm.m + 1)[0]
+
+    def aux_tail(a):
+        col = np.linalg.solve(build_R(gm, a, eta0), e1)
+        return (col / col[0])[1:]
+
+    def loaded(w, lam, Q):
+        return float(np.real(np.conj(w) @ (lam * w - Q @ w)))
+
+    a = a_init.a
+    info = information_total(gm, a)
+    etas, variances, used_list = [eta0 - info], [1.0 / info], [0]
+    best_eta, best_a = etas[0], a
+    tail = aux_tail(a)
+    converged = False
+    for _ in range(cfg.max_outer):
+        Q = build_Q(gm, tail, eta0)[0].dense()
+        lam = cfg.lambda_margin * _dense_lambda_max(Q) + cfg.eps_abs
+        cur = a
+        obj = loaded(np.append(cur, 1.0), lam, Q)
+        used = 0
+        for t in range(cfg.inner_iters):
+            w = np.append(cur, 1.0)
+            new = project_gains((lam * w - Q @ w)[:n], domain)
+            used = t + 1
+            if new is None:
+                break
+            obj_new = loaded(np.append(new, 1.0), lam, Q)
+            assert obj_new >= obj - cfg.monotone_slack * max(1.0, abs(obj))
+            step = float(np.max(np.abs(new - cur)))
+            cur, obj = new, obj_new
+            if step <= cfg.inner_tol:
+                break
+        a = cur
+        tail = aux_tail(a)
+        info = information_total(gm, a)
+        eta = eta0 - info
+        etas.append(eta)
+        variances.append(1.0 / info)
+        used_list.append(used)
+        if eta < best_eta:
+            best_eta, best_a = eta, a
+        if abs(etas[-2] - eta) <= cfg.xi:
+            converged = True
+            break
+    return etas, variances, used_list, converged, best_a
+
+
+@pytest.mark.parametrize("noisy_self", [False, True], ids=["noiseless-self", "noisy-self"])
+@pytest.mark.parametrize("domain", list(GainDomain), ids=lambda d: d.value)
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 64])
+def test_optimize_matches_dense_oracle(n, domain, noisy_self):
+    model, a, gm = _scenario(n, 900 + n, domain=domain, noisy_self=noisy_self)
+    cfg = OptimizerConfig()
+    trace = optimize(gm, cfg, a)
+    etas, variances, used, converged, best = _dense_optimize(gm, cfg, a)
+    assert trace.outer_cycles == len(used) - 1
+    assert trace.inner_iters_used == used
+    assert trace.converged == converged
+    np.testing.assert_allclose(trace.etas, etas, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace.variances, variances, rtol=1e-12, atol=0.0)
+    assert float(np.max(np.abs(trace.gains.a - best))) <= 1e-12 * float(np.max(np.abs(best)))
 
 
 def test_optimize_single_unimodular_gain_converges_immediately():
