@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Disconnected, NotConverged, ZeroInformation
+from .errors import DimensionMismatch, NotConverged, ZeroInformation
 from .topology import Graph
 
 __all__ = [
@@ -84,9 +84,7 @@ def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray)
     links = g.links
     send = links.sender[links.receiver != links.sender]
     starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
-    d = np.diff(starts, append=send.size)
-    if g.n > 1 and not d.all():  # reduceat would fill an empty segment
-        raise Disconnected(f"node {int(np.argmin(d))} has no neighbours")
+    d = np.diff(starts, append=send.size)  # Graph is connected: no segment is empty for n > 1
 
     def neighbour_sum(v):
         if send.size == 0:  # a single node; reduceat cannot take no indices

@@ -26,7 +26,7 @@ class Disconnected(GraphError):
 
 
 class MalformedGraph(GraphError):
-    """Edges not canonical, or adjacency not their symmetric closure."""
+    """Edges not pairs ``(i, j)`` with ``i < j`` in ascending order."""
 
 
 class RetriesExhausted(GraphError):

@@ -218,7 +218,7 @@ def network_to_json(model: NetworkModel) -> str:
     links = model.graph.links
     doc = {
         "n": model.n,
-        "edges": [[i, j] for i, j in model.graph.edges],
+        "edges": model.graph.edges.tolist(),
         "channels": [
             list(row)
             for row in zip(links.receiver.tolist(), links.sender.tolist(), model.h.real.tolist(), model.h.imag.tolist())

@@ -72,25 +72,25 @@ def _random_global(rng, n_max, domain=GainDomain.FIXED_ENERGY):
 
 
 def check_topology(rng, cases, n_max):
-    """Connectivity, adjacency symmetry, and generation determinism."""
+    """Connectivity, neighbour symmetry, and generation determinism."""
     for _ in range(cases):
         n = int(rng.integers(1, n_max + 1))
         seed = int(rng.integers(0, 2**31))
         model = "geometric" if rng.random() < 0.5 else "gnp"
         g = random_connected_graph(n, model, radius=0.7, p=0.5, seed=seed)
         g2 = random_connected_graph(n, model, radius=0.7, p=0.5, seed=seed)
-        if g.edges != g2.edges:
+        if g != g2:
             return f"generation not deterministic for seed {seed}"
         for i in range(n):
-            for j in g.adjacency[i]:
-                if i not in g.adjacency[j]:
-                    return f"adjacency asymmetry at ({i}, {j})"
+            for j in g.neighbors(i):
+                if i not in g.neighbors(j):
+                    return f"neighbour asymmetry at ({i}, {j})"
         # build_graph already rejects disconnected graphs; re-check reachability.
         seen = {0}
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in g.adjacency[u]:
+            for v in g.neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -1,15 +1,15 @@
 """Undirected connected communication graphs.
 
-A :class:`Graph` stores the network topology as a canonical edge set plus,
-for every node ``i``, the ordered neighbor sequence ``S_i`` (ascending node
-ids, self excluded).  Graphs are immutable after construction and safe to
-share across parallel trials.
+A :class:`Graph` stores the network topology as one read-only ``(m, 2)``
+array of canonical edges.  Graphs are immutable after construction and
+safe to share across parallel trials.
 
 Every graph also carries its directed-link table (:class:`Links`): one
 entry per directed edge plus a self link ``(i, i)`` per node, sorted by
 receiver and, within a receiver, by ascending sender.  Every per-link
 array in the package (channels, compression rows, consensus neighbour
-sums) uses this order.
+sums) uses this order, and a node's neighbours (``Graph.neighbors``) are
+its segment of the table minus the self link.
 
 Random generation supports two models:
 
@@ -24,7 +24,6 @@ with the same arguments always yields the identical edge set.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,65 +117,66 @@ def _connected(links: Links) -> bool:
         label = new
 
 
-def _adjacency(links: Links) -> tuple[tuple[int, ...], ...]:
-    # Each receiver's senders with its own self link cut out.
-    senders = links.sender.tolist()
-    bounds = links.starts.tolist() + [len(senders)]
-    own = np.flatnonzero(links.receiver == links.sender).tolist()
-    return tuple(tuple(senders[a:i] + senders[i + 1 : b]) for a, i, b in zip(bounds, own, bounds[1:]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph with sorted neighbor sequences.
+    """Undirected connected graph.
 
     Attributes
     ----------
     n : int
         Node count; node ids are ``0 .. n-1``.
-    edges : tuple of (int, int)
-        Canonical edge set, each pair ``(i, j)`` with ``i < j``, sorted.
-    adjacency : tuple of tuple of int
-        ``adjacency[i]`` is the neighbor sequence ``S_i`` in ascending
-        order, never containing ``i`` itself.
+    edges : (m, 2) intp array, read-only
+        Canonical edge set: rows ``(i, j)`` with ``i < j`` in ascending
+        order.  Tuples, lists and arrays are all accepted and copied.
     links : Links
-        The directed-link table, derived from ``edges``.
+        The directed-link table, derived from ``edges``; its arrays are
+        read-only too.
 
     Construction checks every invariant above and raises
     :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
-    :class:`MalformedGraph` (edges not canonical, or ``adjacency`` not
-    their symmetric closure) or :class:`Disconnected`.
+    :class:`MalformedGraph` (edges not canonical) or :class:`Disconnected`.
+    Two graphs are equal when their ``n`` and ``edges`` are.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    links: Links = field(init=False, repr=False, compare=False)
+    edges: np.ndarray
+    links: Links = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
-        flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
-        edges = flat.reshape(-1, 2)
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         links = _links(n, edges)
         keys = edges[:, 0] * n + edges[:, 1]
         if not (edges[:, 0] < edges[:, 1]).all() or not (keys[1:] > keys[:-1]).all():
             raise MalformedGraph("edges must be pairs (i, j) with i < j in ascending order")
-        if tuple(map(tuple, self.adjacency)) != _adjacency(links):
-            raise MalformedGraph("adjacency is not the symmetric closure of the edges")
         if not _connected(links):
-            raise Disconnected(f"graph on {n} nodes with {len(self.edges)} edges is not connected")
-        for a in links:
+            raise Disconnected(f"graph on {n} nodes with {len(edges)} edges is not connected")
+        for a in (edges, *links):
             a.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "links", links)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
+        """Node ``i``'s neighbours in ascending order: its link-table segment minus the self link."""
         if not 0 <= i < self.n:
             raise OutOfRange(f"node {i} not in [0, {self.n})")
-        return self.adjacency[i]
+        starts = self.links.starts
+        end = starts[i + 1] if i + 1 < self.n else self.links.sender.size
+        senders = self.links.sender[starts[i] : end].tolist()
+        senders.remove(i)
+        return tuple(senders)
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -186,26 +186,19 @@ def build_graph(n: int, edge_list) -> Graph:
     ----------
     n : int
         Number of nodes, must be positive.
-    edge_list : iterable of (int, int) or (m, 2) integer array
+    edge_list : sequence of (int, int) or (m, 2) integer array
         Unordered node pairs.  Duplicates (in either orientation),
         self-loops, out-of-range ids, and disconnected results are
         rejected by :class:`Graph`.
     """
-    if not isinstance(edge_list, np.ndarray):
-        edge_list = list(itertools.chain.from_iterable(edge_list))
-    pairs = np.asarray(edge_list, dtype=np.intp).reshape(-1, 2)
-    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-    order = np.argsort(lo * n + hi)  # any order will do for ids that Graph rejects
-    lo, hi = lo[order], hi[order]
-    links = _links(n, np.stack((lo, hi), axis=1))
-    return Graph(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_adjacency(links))
+    pairs = np.sort(np.asarray(edge_list, dtype=np.intp).reshape(-1, 2), axis=1)
+    order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # any order will do for ids that Graph rejects
+    return Graph(n=n, edges=pairs[order])
 
 
 def degree(g: Graph, i: int) -> int:
     """Number of distinct neighbors of node ``i``, excluding ``i`` itself."""
-    if not 0 <= i < g.n:
-        raise OutOfRange(f"node {i} not in [0, {g.n})")
-    return len(g.adjacency[i])
+    return len(g.neighbors(i))
 
 
 def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -263,7 +256,7 @@ def random_connected_graph(
 def graph_to_json(g: Graph, *, seed=None, model=None) -> str:
     doc = {
         "n": g.n,
-        "edges": [[i, j] for i, j in g.edges],
+        "edges": g.edges.tolist(),
         "seed": seed,
         "model": model,
     }

@@ -45,7 +45,7 @@ def test_build_scenario_deterministic():
     cfg = ExperimentConfig(n=6, master_seed=5)
     g1, m1 = build_scenario(cfg)
     g2, m2 = build_scenario(cfg)
-    assert g1.edges == g2.edges
+    assert g1 == g2
     np.testing.assert_array_equal(m1.h, m2.h)
 
 

@@ -21,7 +21,7 @@ from wsnmle.fusion import (
     select_retainers,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import build_graph, degree, random_connected_graph
 
 
 def _scalar_channels(g, dist, sigma_h, reciprocal, seed):
@@ -30,7 +30,7 @@ def _scalar_channels(g, dist, sigma_h, reciprocal, seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     scale = sigma_h / np.sqrt(2.0)
     h = {(i, i): complex(1.0) for i in range(g.n)}
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         if dist == "unit":
             h[(i, j)] = h[(j, i)] = complex(1.0)
             continue
@@ -40,11 +40,21 @@ def _scalar_channels(g, dist, sigma_h, reciprocal, seed):
     return h
 
 
+def _neighbour_sets(g):
+    # Neighbour sets straight from the edge array, not the link table.
+    nbrs = [set() for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
 def _dict_information(g, h, model, gains):
     # Each node's stack of receptions, built from dict lookups.
     out = np.empty(g.n)
+    nbrs = _neighbour_sets(g)
     for i in range(g.n):
-        senders = sorted(set(g.adjacency[i]) | {i})
+        senders = sorted(nbrs[i] | {i})
         row_h = np.array([h[(i, s)] for s in senders])
         a = gains.a[senders]
         mask = np.array([1.0 if (s != i or model.noisy_self_link) else 0.0 for s in senders])
@@ -57,9 +67,9 @@ def _max_selection(g, info):
     # Per sender, the neighbour with the largest information; ties to the
     # smallest id.
     retained = [(i, i) for i in range(g.n)]
-    for sender in range(g.n):
-        if g.adjacency[sender]:
-            retained.append((max(g.adjacency[sender], key=lambda j: (info[j], -j)), sender))
+    for sender, nbrs in enumerate(_neighbour_sets(g)):
+        if nbrs:
+            retained.append((max(nbrs, key=lambda j: (info[j], -j)), sender))
     return SelectionPlan(retained=tuple(sorted(retained)), r=2 * g.num_edges - (len(retained) - g.n))
 
 
@@ -140,9 +150,11 @@ def test_links_sorted_with_one_self_link_per_segment(g):
     np.testing.assert_array_equal(np.bincount(links.receiver[links.receiver == links.sender], minlength=g.n), 1)
     np.testing.assert_array_equal(links.reverse[links.reverse], np.arange(keys.size))
     np.testing.assert_array_equal(links.receiver[links.reverse], links.sender)
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    np.testing.assert_array_equal(links.receiver[links.forward], edges[:, 0])
-    np.testing.assert_array_equal(links.sender[links.forward], edges[:, 1])
+    np.testing.assert_array_equal(links.receiver[links.forward], g.edges[:, 0])
+    np.testing.assert_array_equal(links.sender[links.forward], g.edges[:, 1])
+    for i, nbrs in enumerate(_neighbour_sets(g)):
+        assert g.neighbors(i) == tuple(sorted(nbrs))
+        assert degree(g, i) == len(nbrs)
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 from collections import deque
 
+import numpy as np
 import pytest
 
 from wsnmle.errors import (
@@ -20,12 +21,22 @@ from wsnmle.topology import (
 )
 
 
+def _neighbour_sets(g):
+    # Neighbour sets straight from the edge array, not the link table.
+    nbrs = [set() for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
 def _bfs_reached(g):
+    nbrs = _neighbour_sets(g)
     seen = {0}
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in g.adjacency[u]:
+        for v in nbrs[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -34,9 +45,9 @@ def _bfs_reached(g):
 
 def test_path_graph_neighbor_order():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.adjacency[1] == (0, 2)
-    assert g.adjacency[0] == (1,)
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.neighbors(1) == (0, 2)
+    assert g.neighbors(0) == (1,)
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_duplicate_edge_rejected():
@@ -76,18 +87,18 @@ def test_degree():
 
 def test_single_node():
     g = random_connected_graph(1, "geometric", radius=0.5, seed=7)
-    assert g.n == 1 and g.edges == ()
+    assert g.n == 1 and g.edges.shape == (0, 2)
 
 
 def test_gnp_full_probability_forces_edge():
     g = random_connected_graph(2, "gnp", p=1.0, seed=3)
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_generation_deterministic():
     g1 = random_connected_graph(16, "geometric", radius=0.5, seed=42)
     g2 = random_connected_graph(16, "geometric", radius=0.5, seed=42)
-    assert g1.edges == g2.edges
+    assert g1 == g2
     assert _bfs_reached(g1) == 16
 
 
@@ -98,9 +109,9 @@ def test_generated_graphs_connected_and_symmetric():
         g = random_connected_graph(n, model, radius=0.6, p=0.5, seed=seed)
         assert _bfs_reached(g) == n
         for i in range(n):
-            assert i not in g.adjacency[i]
-            for j in g.adjacency[i]:
-                assert i in g.adjacency[j]
+            assert i not in g.neighbors(i)
+            for j in g.neighbors(i):
+                assert i in g.neighbors(j)
 
 
 def test_retries_exhausted():
@@ -130,37 +141,41 @@ def test_json_round_trip_bit_exact():
 
 def test_graph_validates_connectivity():
     with pytest.raises(Disconnected):
-        Graph(n=3, edges=((0, 2),), adjacency=((2,), (), (0,)))
-
-
-def test_graph_validates_adjacency_is_symmetric_closure():
-    with pytest.raises(MalformedGraph):
-        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0,), (1,)))
-    with pytest.raises(MalformedGraph):
-        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (2, 0), (1,)))
-    with pytest.raises(MalformedGraph):
-        Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2)))
+        Graph(n=3, edges=((0, 2),))
 
 
 def test_graph_validates_canonical_edges():
     with pytest.raises(MalformedGraph):
-        Graph(n=2, edges=((1, 0),), adjacency=((1,), (0,)))
+        Graph(n=2, edges=((1, 0),))
     with pytest.raises(MalformedGraph):
-        Graph(n=3, edges=((1, 2), (0, 1)), adjacency=((1,), (0, 2), (1,)))
+        Graph(n=3, edges=((1, 2), (0, 1)))
 
 
 def test_graph_validates_edge_ids():
     with pytest.raises(SelfLoop):
-        Graph(n=2, edges=((0, 0), (0, 1)), adjacency=((1,), (0,)))
+        Graph(n=2, edges=((0, 0), (0, 1)))
     with pytest.raises(DuplicateEdge):
-        Graph(n=2, edges=((0, 1), (0, 1)), adjacency=((1,), (0,)))
+        Graph(n=2, edges=((0, 1), (0, 1)))
     with pytest.raises(OutOfRange):
-        Graph(n=2, edges=((0, 2),), adjacency=((1,), (0,)))
+        Graph(n=2, edges=((0, 2),))
     with pytest.raises(OutOfRange):
-        Graph(n=0, edges=(), adjacency=())
+        Graph(n=0, edges=())
 
 
 def test_hand_built_graph_equals_built_graph():
-    g = Graph(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2), (1,)))
+    g = Graph(n=3, edges=((0, 1), (1, 2)))
     assert g == build_graph(3, [(2, 1), (1, 0)])
     assert g.links.sender.tolist() == [0, 1, 0, 1, 2, 1, 2]
+
+
+def test_graph_is_read_only_and_input_agnostic():
+    g = Graph(n=3, edges=((0, 1), (1, 2)))
+    for a in (g.edges, *g.links):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    array = np.array([[0, 1], [1, 2]])
+    from_array = Graph(n=3, edges=array)
+    assert g == Graph(n=3, edges=[(0, 1), (1, 2)]) == from_array
+    array[0, 0] = 2  # the graph holds its own copy
+    assert from_array == g
+    assert g != Graph(n=3, edges=((0, 1), (0, 2)))
