@@ -26,7 +26,7 @@ class Disconnected(GraphError):
 
 
 class MalformedGraph(GraphError):
-    """Edges not pairs ``(i, j)`` with ``i < j`` in ascending order."""
+    """Edges not an ``(m, 2)`` array of pairs ``(i, j)``, ``i < j``, in ascending order."""
 
 
 class RetriesExhausted(GraphError):

@@ -19,7 +19,9 @@ arrow matrix and that vector has the closed form ``(1, -Ha / C(a))``.
 For fixed ``y`` the objective is an exact quadratic in the gains through
 an (N+1)-dimensional arrow matrix ``Q``; diagonally loading ``Q`` turns
 the constrained quadratic maximization into power-method-like iterations
-whose objective never decreases.  Alternating the two updates drives
+whose objective never decreases.  The load is a margin times the exact
+largest eigenvalue of ``Q``, the largest root of the arrow's secular
+equation (:func:`lambda_max_estimate`).  Alternating the two updates drives
 ``eta`` monotonically down.  Neither matrix is ever formed densely by the
 optimizer; :func:`build_R` and :meth:`Arrow.dense` exist as references.
 """
@@ -51,6 +53,12 @@ __all__ = [
     "power_iterate",
     "optimize",
 ]
+
+# Secular-equation solve in lambda_max_estimate: relative stop and step cap.
+# Bisection alone halves a bracket no wider than its upper end, so it
+# reaches the stop in about 50 steps; Newton steps take about 5.
+_EPS = 4.0 * float(np.finfo(float).eps)
+_SECULAR_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -232,30 +240,53 @@ def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float) -> tuple[Arrow, fl
     return Arrow(top * gm.v_diag, border), c1
 
 
-def lambda_max_estimate(Q: Arrow, iters: int = 200) -> float:
-    """Largest eigenvalue of an arrow matrix by shifted power iteration.
+def lambda_max_estimate(Q: Arrow) -> float:
+    """Largest eigenvalue of an arrow matrix, exactly, in O(N).
 
-    Shifting by the Frobenius norm makes the spectrum nonnegative, so the
-    dominant eigenvalue of the shifted matrix is the one sought plus the
-    shift.  A fixed, slightly tilted start vector keeps the estimate
-    deterministic.  The iterate is kept as its first N entries ``head``
-    and its last entry ``last``, so each step costs O(N).
+    With diagonal ``d = top``, border ``b`` and corner 0, every eigenvalue
+    other than a ``d_i`` with ``b_i = 0`` (those deflate and are
+    eigenvalues themselves) is a root of the secular equation
+
+        f(lam) = lam - sum_i |b_i|^2 / (lam - d_i) = 0
+
+    taken over the nonzero ``b_i`` (Golub, "Some modified matrix eigenvalue
+    problems", SIAM Rev. 1973).  Right of its largest pole ``f`` is
+    increasing and concave; it is negative just right of
+    ``lo = max(d_i, 0)`` over those entries and nonnegative at
+    ``lo + ||b||``, so that interval brackets the largest root.  Newton's
+    method, with bisection whenever a step leaves the bracket, finds it to
+    relative machine precision.  The result is the largest of that root,
+    ``max(d)`` and 0 (the corner); by interlacing it is never negative.
     """
-    shift = float(np.sqrt(np.sum(Q.top**2) + 2.0 * np.sum(np.abs(Q.border) ** 2)))
-    if shift == 0.0:
-        return 0.0
-    v = 1.0 + 1e-3 * np.arange(Q.top.size + 1)
-    v = v.astype(complex) / np.linalg.norm(v)
-    head, last = v[:-1], complex(v[-1])
-    diag = Q.top + shift
-    for _ in range(iters):
-        head, last = diag * head + Q.border * last, complex(np.vdot(Q.border, head)) + shift * last
-        norm = math.sqrt(np.vdot(head, head).real + abs(last) ** 2)
-        if norm == 0.0:
-            return 0.0
-        head, last = head / norm, last / norm
-    rayleigh = float(np.sum(Q.top * np.abs(head) ** 2) + 2.0 * np.real(last * np.vdot(head, Q.border)))
-    return max(rayleigh, 0.0)
+    b_sq = np.abs(Q.border) ** 2
+    live = b_sq > 0.0
+    floor = float(Q.top.max(initial=0.0))
+    if not live.any():
+        return floor
+    d, b_sq = Q.top[live], b_sq[live]
+    lo = max(float(d.max()), 0.0)
+    hi = lo + math.sqrt(float(b_sq.sum()))
+    lam = hi
+    for _ in range(_SECULAR_STEPS):
+        if hi - lo <= _EPS * hi:
+            break
+        gap = lam - d
+        ratio = b_sq / gap
+        f = lam - float(ratio.sum())
+        if f < 0.0:
+            lo = lam
+        elif f > 0.0:
+            hi = lam
+        else:
+            break
+        nxt = lam - f / (1.0 + float(np.sum(ratio / gap)))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - lam) <= _EPS * nxt
+        lam = nxt
+        if done:
+            break
+    return max(lam, floor)
 
 
 def project_gains(ahat: np.ndarray, domain: GainDomain):

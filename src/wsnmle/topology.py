@@ -63,9 +63,13 @@ class Links(NamedTuple):
     forward: np.ndarray
 
     def index(self, pairs) -> np.ndarray:
-        """Link indices of ``(receiver, sender)`` pairs."""
+        """Link indices of ``(receiver, sender)`` pairs.
+
+        Raises :class:`OutOfRange` for a pair that is not a link, or for
+        nonempty input that is not of shape ``(m, 2)``.
+        """
         n = self.starts.size
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        pairs = _pair_array(pairs, OutOfRange)
         keys = self.receiver * n + self.sender
         want = pairs[:, 0] * n + pairs[:, 1]
         idx = np.minimum(np.searchsorted(keys, want), keys.size - 1)
@@ -73,6 +77,20 @@ class Links(NamedTuple):
         if bad.any():
             raise OutOfRange(f"{tuple(pairs[np.argmax(bad)].tolist())} is not a link")
         return idx
+
+
+def _pair_array(pairs, error: type[Exception]) -> np.ndarray:
+    # A fresh (m, 2) intp array; ragged input, or nonempty input of any
+    # other shape, raises ``error`` rather than being re-paired.
+    try:
+        arr = np.array(pairs, dtype=np.intp)
+    except ValueError:
+        raise error("node pairs must form an (m, 2) integer array") from None
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise error(f"expected (m, 2) node pairs, got an array of shape {arr.shape}")
+    return arr
 
 
 def _links(n: int, edges: np.ndarray) -> Links:
@@ -134,7 +152,8 @@ class Graph:
 
     Construction checks every invariant above and raises
     :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
-    :class:`MalformedGraph` (edges not canonical) or :class:`Disconnected`.
+    :class:`MalformedGraph` (edges not an ``(m, 2)`` array of canonical
+    pairs) or :class:`Disconnected`.
     Two graphs are equal when their ``n`` and ``edges`` are.
     """
 
@@ -144,7 +163,7 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        edges = _pair_array(self.edges, MalformedGraph)
         links = _links(n, edges)
         keys = edges[:, 0] * n + edges[:, 1]
         if not (edges[:, 0] < edges[:, 1]).all() or not (keys[1:] > keys[:-1]).all():
@@ -187,11 +206,12 @@ def build_graph(n: int, edge_list) -> Graph:
     n : int
         Number of nodes, must be positive.
     edge_list : sequence of (int, int) or (m, 2) integer array
-        Unordered node pairs.  Duplicates (in either orientation),
-        self-loops, out-of-range ids, and disconnected results are
-        rejected by :class:`Graph`.
+        Unordered node pairs.  Input that is neither empty nor of shape
+        ``(m, 2)`` raises :class:`MalformedGraph`.  Duplicates (in either
+        orientation), self-loops, out-of-range ids, and disconnected
+        results are rejected by :class:`Graph`.
     """
-    pairs = np.sort(np.asarray(edge_list, dtype=np.intp).reshape(-1, 2), axis=1)
+    pairs = np.sort(_pair_array(edge_list, MalformedGraph), axis=1)
     order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # any order will do for ids that Graph rejects
     return Graph(n=n, edges=pairs[order])
 
@@ -238,9 +258,8 @@ def random_connected_graph(
         raise ValueError(f"p must lie in (0, 1], got {p}")
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        edges = _sample_edges(n, model, radius, p, rng)
         try:
-            return build_graph(n, edges)
+            return Graph(n=n, edges=_sample_edges(n, model, radius, p, rng))
         except Disconnected:
             continue
     raise RetriesExhausted(

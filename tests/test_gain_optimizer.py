@@ -259,15 +259,50 @@ def test_projection_unimodular():
     np.testing.assert_allclose(out, [1.0, 1.0j], atol=1e-15)
 
 
+def _assert_exact_lambda_max(Q):
+    true = float(np.max(np.linalg.eigvalsh(Q.dense())))
+    assert abs(lambda_max_estimate(Q) - true) <= 1e-13 * abs(true)
+
+
 def test_lambda_max_estimate_close_to_dense_eigensolver():
     rng = np.random.default_rng(100)
-    for _ in range(10):
-        k = int(rng.integers(2, 9))
-        Q = Arrow(rng.standard_normal(k - 1), rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1))
-        est = lambda_max_estimate(Q)
-        true = float(np.max(np.linalg.eigvalsh(Q.dense())))
-        assert est <= true + 1e-9 * max(1.0, abs(true))
-        assert est >= true - 1e-6 * max(1.0, abs(true))
+    for _ in range(40):
+        k = int(rng.integers(2, 66))
+        _assert_exact_lambda_max(
+            Arrow(rng.standard_normal(k - 1), rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1))
+        )
+
+
+_SPREAD = np.geomspace(1e-8, 1e8, 17)
+
+
+@pytest.mark.parametrize(
+    "top, border",
+    [
+        ([2.0], [1.0 + 1.0j]),
+        ([2.0], [0.0]),
+        ([-2.0], [0.5j]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([1.0, 5.0, 3.0], [1.0, 0.0, 2.0j]),  # the deflated top entry is the largest eigenvalue
+        ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]),  # the root beats the deflated entry
+        ([-2.0, -2.0, -5.0, 0.5, 0.5], [1.0, 1.0j, 2.0, 0.3, -0.3]),
+        ([-1.0, -3.0], [0.5, 0.2j]),  # every pole negative: the root is positive
+        ([-1.0, -3.0], [0.0, 0.0]),  # the corner 0 is the largest eigenvalue
+        (_SPREAD, np.ones(17) + 1j),
+        (_SPREAD[::-1], np.linspace(-3.0, 3.0, 17)),
+        ([1e8, 1.0, 3e7], [1e-6, 1e-7j, 1e-6]),  # the root hugs the pole at 1e8
+        ([4.0, 4.0, 1.0], [1e-9, 1e-9, 1.0]),
+        ([3.0, 3.0 + 1e-3], [1e-2, 1e-2j]),  # close poles: a shifted power method stalls here
+        (np.linspace(1.0, 2.0, 64), np.full(64, 0.01)),
+    ],
+    ids=[
+        "n1", "n1-zero-border", "n1-negative", "all-zero", "deflated-max", "zero-border",
+        "negative-repeated", "negative-poles", "negative-deflated", "spread", "spread-reversed",
+        "tiny-border", "tiny-border-repeated", "close-poles", "clustered-poles",
+    ],
+)
+def test_lambda_max_estimate_edge_cases(top, border):
+    _assert_exact_lambda_max(Arrow(np.asarray(top, dtype=float), np.asarray(border, dtype=complex)))
 
 
 def test_power_iterate_monotone_loaded_form():

@@ -88,6 +88,8 @@ def test_degree():
 def test_single_node():
     g = random_connected_graph(1, "geometric", radius=0.5, seed=7)
     assert g.n == 1 and g.edges.shape == (0, 2)
+    assert Graph(n=1, edges=()) == g
+    assert build_graph(1, []) == g
 
 
 def test_gnp_full_probability_forces_edge():
@@ -149,6 +151,29 @@ def test_graph_validates_canonical_edges():
         Graph(n=2, edges=((1, 0),))
     with pytest.raises(MalformedGraph):
         Graph(n=3, edges=((1, 2), (0, 1)))
+
+
+def test_graph_rejects_malformed_shape():
+    # Rows of width 3 must not be re-paired: flattened, these two are the
+    # path 0-1-2-3.
+    with pytest.raises(MalformedGraph):
+        graph_from_json('{"n":4,"edges":[[0,1,2],[1,2,3]]}')
+    with pytest.raises(MalformedGraph):
+        Graph(n=4, edges=np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(MalformedGraph):
+        build_graph(2, [0, 1])
+    with pytest.raises(MalformedGraph):
+        graph_from_json('{"n":3,"edges":[[0,1],[1]]}')
+
+
+def test_links_index_rejects_malformed_shape():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert g.links.index([[1, 0], [2, 1]]).size == 2
+    assert g.links.index([]).size == 0
+    with pytest.raises(OutOfRange):
+        g.links.index([[1, 0, 2, 1]])
+    with pytest.raises(OutOfRange):
+        g.links.index((1, 0))
 
 
 def test_graph_validates_edge_ids():
