@@ -279,7 +279,7 @@ def lambda_max_estimate(Q: Arrow) -> float:
             hi = lam
         else:
             break
-        nxt = lam - f / (1.0 + float(np.sum(ratio / gap)))
+        nxt = lam - f / (1.0 + float((ratio / gap).sum()))
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         done = abs(nxt - lam) <= _EPS * nxt

@@ -168,7 +168,8 @@ def test_graph_rejects_malformed_shape():
 
 def test_links_index_rejects_malformed_shape():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.links.index([[1, 0], [2, 1]]).size == 2
+    idx = g.links.index([[1, 0], [2, 1]])
+    assert g.links.receiver[idx].tolist() == [1, 2] and g.links.sender[idx].tolist() == [0, 1]
     assert g.links.index([]).size == 0
     with pytest.raises(OutOfRange):
         g.links.index([[1, 0, 2, 1]])
