@@ -34,21 +34,6 @@ from .network_model import GainDomain, GainVector
 from .selfcheck import run_all
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config file")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--out-dir", type=Path, default=Path("out"), help="output directory")
-    p.add_argument("--trials", type=int, help="Monte Carlo trial count override")
-    p.add_argument("--n", type=int, help="network size override")
-    p.add_argument(
-        "--constraint",
-        choices=[d.value for d in GainDomain],
-        help="gain constraint domain override",
-    )
-    p.add_argument("--rho", type=float, help="consensus step constant override")
-    p.add_argument("--xi", type=float, help="optimizer outer stop threshold override")
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = (
         ExperimentConfig.from_json_file(args.config)
@@ -81,8 +66,9 @@ def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _, model = build_scenario(cfg)
     _, gm, trace = optimize_with_reselection(
-        *_scenario_and_init(cfg), rounds=args.reselect_rounds
+        model, cfg.opt, GainVector.ones(cfg.n, cfg.constraint), rounds=args.reselect_rounds
     )
     write_opt_trace(out / "opt_trace.csv", trace)
     write_gains(out / "gains.csv", trace.gains)
@@ -91,11 +77,6 @@ def cmd_optimize(args) -> int:
         f"variance {trace.variances[0]:.6g} -> {trace.var_final:.6g}"
     )
     return 0
-
-
-def _scenario_and_init(cfg: ExperimentConfig):
-    _, model = build_scenario(cfg)
-    return model, cfg.opt, GainVector.ones(cfg.n, cfg.constraint)
 
 
 def cmd_consensus(args) -> int:
@@ -140,13 +121,24 @@ def main(argv=None) -> int:
         description="Decentralized ML estimation and sensor-gain optimization experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # flags every subcommand takes
+    common.add_argument("--config", type=Path, help="JSON config file")
+    common.add_argument("--seed", type=int, help="master seed override")
+    common.add_argument("--out-dir", type=Path, default=Path("out"), help="output directory")
+    common.add_argument("--trials", type=int, help="Monte Carlo trial count override")
+    common.add_argument("--n", type=int, help="network size override")
+    common.add_argument(
+        "--constraint",
+        choices=[d.value for d in GainDomain],
+        help="gain constraint domain override",
+    )
+    common.add_argument("--rho", type=float, help="consensus step constant override")
+    common.add_argument("--xi", type=float, help="optimizer outer stop threshold override")
 
-    p = sub.add_parser("topology", help="generate a random connected graph")
-    _add_common(p)
+    p = sub.add_parser("topology", parents=[common], help="generate a random connected graph")
     p.set_defaults(fn=cmd_topology)
 
-    p = sub.add_parser("optimize", help="run the cyclic gain optimizer")
-    _add_common(p)
+    p = sub.add_parser("optimize", parents=[common], help="run the cyclic gain optimizer")
     p.add_argument(
         "--reselect-rounds",
         type=int,
@@ -155,17 +147,14 @@ def main(argv=None) -> int:
     )
     p.set_defaults(fn=cmd_optimize)
 
-    p = sub.add_parser("consensus", help="run the decentralized estimation experiment")
-    _add_common(p)
+    p = sub.add_parser("consensus", parents=[common], help="run the decentralized estimation experiment")
     p.set_defaults(fn=cmd_consensus)
 
-    p = sub.add_parser("sweep", help="variance vs network size sweep")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[common], help="variance vs network size sweep")
     p.add_argument("--n-list", default="4,8,12,16", help="comma-separated network sizes")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("selfcheck", help="run the randomized property suite")
-    _add_common(p)
+    p = sub.add_parser("selfcheck", parents=[common], help="run the randomized property suite")
     p.add_argument("--cases", type=int, default=100, help="random cases per property")
     p.set_defaults(fn=cmd_selfcheck)
 

@@ -82,7 +82,7 @@ def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray)
     round's y-update, so a round costs one sum.
     """
     links = g.links
-    send = links.sender[links.receiver != links.sender]
+    send = np.delete(links.sender, links.own)
     starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
     d = np.diff(starts, append=send.size)  # Graph is connected: no segment is empty for n > 1
 

@@ -153,7 +153,7 @@ def optimize_with_reselection(
     trace = None
     for _ in range(rounds):
         plan = select_retainers(model.graph, node_information(model, gains))
-        if prev_plan is not None and plan.retained == prev_plan.retained:
+        if prev_plan is not None and np.array_equal(plan.retained, prev_plan.retained):
             break
         gm = build_global_model(model, plan, gains)
         trace = optimize(gm, opt_cfg, gains)
@@ -251,6 +251,10 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
     return summary
 
 
+# Columns of sweep.csv and keys of run_variance_sweep's rows: three counts, then four floats.
+SWEEP_COLUMNS = ("n", "trials", "failures", "mean_var_optimized", "mean_var_all_ones", "mean_var_random", "frac_improved")
+
+
 def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     """Mean estimator variance versus network size.
 
@@ -295,42 +299,13 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
         else:
             improved = 0.0
             means = np.full(3, np.nan)
-        rows.append(
-            {
-                "n": n,
-                "trials": len(done),
-                "failures": failures,
-                "mean_var_optimized": float(means[0]),
-                "mean_var_all_ones": float(means[1]),
-                "mean_var_random": float(means[2]),
-                "frac_improved": improved,
-            }
-        )
+        rows.append(dict(zip(SWEEP_COLUMNS, (n, len(done), failures, *means.tolist(), improved))))
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "n",
-                "trials",
-                "failures",
-                "mean_var_optimized",
-                "mean_var_all_ones",
-                "mean_var_random",
-                "frac_improved",
-            ]
-        )
+        w.writerow(SWEEP_COLUMNS)
         for row in rows:
-            w.writerow(
-                [
-                    row["n"],
-                    row["trials"],
-                    row["failures"],
-                    _fmt(row["mean_var_optimized"]),
-                    _fmt(row["mean_var_all_ones"]),
-                    _fmt(row["mean_var_random"]),
-                    _fmt(row["frac_improved"]),
-                ]
-            )
+            values = list(row.values())
+            w.writerow(values[:3] + [_fmt(v) for v in values[3:]])
     return rows
 
 

@@ -15,7 +15,6 @@ operations; no dense inverse appears anywhere in this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +34,19 @@ __all__ = [
     "ml_variance",
     "decompose_information",
     "sample_received",
-    "plan_to_json",
-    "global_model_to_json",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionPlan:
     """Which directed links survive compression.
 
-    ``retained`` lists the surviving ``(receiver, sender)`` pairs,
-    self links included, sorted.  ``r`` counts the discarded external
-    links: ``r = 2|E| - (retained external links)``.
+    ``retained`` is the ascending intp array of surviving link indices
+    into ``Graph.links``, self links included.  ``r`` counts the
+    discarded external links: ``r = 2|E| - (retained external links)``.
     """
 
-    retained: tuple[tuple[int, int], ...]
+    retained: np.ndarray
     r: int
 
 
@@ -67,29 +64,26 @@ def select_retainers(g: Graph, info: np.ndarray) -> SelectionPlan:
     if not np.all(np.isfinite(info)) or np.any(info < 0.0):
         raise ValueError("information values must be finite and nonnegative")
     links = g.links
-    own = links.receiver == links.sender
     # Node i's segment lists its neighbours j, the candidate retainers of
     # its broadcast; the first maximum of each segment is the smallest id.
-    value = np.where(own, -1.0, info[links.sender])
+    value = info[links.sender]
+    value[links.own] = -1.0
     best = value == np.maximum.reduceat(value, links.starts)[links.receiver]
     first = np.flatnonzero(best)
     first = first[np.diff(links.receiver[first], prepend=-1) > 0]
-    picked = links.reverse[first[~own[first]]]
-    kept = np.sort(np.concatenate((np.flatnonzero(own), picked)))
-    retained = tuple(zip(links.receiver[kept].tolist(), links.sender[kept].tolist()))
-    return SelectionPlan(retained=retained, r=2 * g.num_edges - picked.size)
+    picked = links.reverse[first[value[first] >= 0.0]]
+    kept = np.sort(np.concatenate((links.own, picked)))
+    return SelectionPlan(retained=kept, r=2 * g.num_edges - picked.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalModel:
     """Compressed stacked observation model.
 
     Rows are ordered by ``(receiver, sender)``.  Row ``r`` observes
     ``h[r] * a[sender[r]] * (theta + fresh observation noise)`` plus
-    transmission noise of variance ``sigma_rows[r]``.
-
-    ``H`` materializes the dense M-by-N sensing matrix (one nonzero per
-    row); the per-row arrays are what the estimator actually uses.
+    transmission noise of variance ``sigma_rows[r]``.  The sensing matrix
+    has one nonzero per row, ``row_h[r]`` in column ``row_sender[r]``.
     """
 
     n: int
@@ -99,23 +93,10 @@ class GlobalModel:
     sigma_rows: np.ndarray   # transmission-noise variance per row (diag of Sigma)
     v_diag: np.ndarray       # per-node observation-noise variances (diag of V)
     sigma_n_sq: float
-    gains: GainVector        # gains the selection plan was computed under
 
     @property
     def m(self) -> int:
         return self.row_h.size
-
-    @property
-    def row_map(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            (r, int(self.row_receiver[r]), int(self.row_sender[r])) for r in range(self.m)
-        )
-
-    @property
-    def H(self) -> np.ndarray:
-        H = np.zeros((self.m, self.n), dtype=complex)
-        H[np.arange(self.m), self.row_sender] = self.row_h
-        return H
 
     def row_sigma_v(self) -> np.ndarray:
         """Observation-noise variance of each row's sender."""
@@ -123,11 +104,19 @@ class GlobalModel:
 
 
 def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVector) -> GlobalModel:
-    """Stack the retained rows of every node into one global model."""
+    """Stack the retained rows of every node into one global model.
+
+    ``gains`` only has its length checked.  Raises
+    :class:`DimensionMismatch` unless ``plan.retained`` is a 1-d integer
+    array of link indices, in range and strictly ascending.
+    """
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
     links = model.graph.links
-    idx = links.index(plan.retained)
+    idx, size = np.asarray(plan.retained), links.sender.size
+    ok = idx.ndim == 1 and idx.dtype.kind in "iu" and not np.any(idx[1:] <= idx[:-1])
+    if not ok or (idx.size and (idx[0] < 0 or idx[-1] >= size)):
+        raise DimensionMismatch(f"retained rows must be strictly ascending link indices in [0, {size})")
     return GlobalModel(
         n=model.n,
         row_receiver=links.receiver[idx],
@@ -136,7 +125,6 @@ def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVect
         sigma_rows=model.tx_noise()[idx],
         v_diag=model.sigma_v_sq.copy(),
         sigma_n_sq=float(model.sigma_n_sq),
-        gains=gains,
     )
 
 
@@ -165,28 +153,27 @@ def information_total(gm: GlobalModel, a) -> float:
     return float(np.sum(_row_terms(gm, a)[1]))
 
 
-def ml_estimate(y: np.ndarray, gm: GlobalModel, gains=None) -> complex:
+def ml_estimate(y: np.ndarray, gm: GlobalModel, gains) -> complex:
     """Centralized ML estimate of the parameter from the received vector."""
     y = np.asarray(y, dtype=complex)
     if y.size != gm.m:
         raise DimensionMismatch(f"received vector has {y.size} entries for {gm.m} rows")
-    signal, info_rows, cov = _row_terms(gm, gm.gains.a if gains is None else gains)
+    signal, info_rows, cov = _row_terms(gm, gains)
     info = float(np.sum(info_rows))
     if info <= 0.0:
         raise ZeroInformation("total information is zero")
     return complex(np.sum(np.conj(signal) * y / cov) / info)
 
 
-def ml_variance(gm: GlobalModel, gains=None) -> float:
+def ml_variance(gm: GlobalModel, gains) -> float:
     """Variance of the centralized ML estimate: reciprocal information."""
-    a = gm.gains.a if gains is None else _gain_array(gains)
-    info = information_total(gm, a)
+    info = information_total(gm, gains)
     if info <= 0.0:
         raise ZeroInformation("total information is zero")
     return 1.0 / info
 
 
-def decompose_information(gm: GlobalModel, gains=None, y=None):
+def decompose_information(gm: GlobalModel, gains, y=None):
     """Split the global information across receivers.
 
     Returns the per-node information values ``I_i(0)`` (each node's share
@@ -196,7 +183,7 @@ def decompose_information(gm: GlobalModel, gains=None, y=None):
     ``sum(I) == information_total`` and ``sum(P)`` equals the global
     matched-filter projection.
     """
-    signal, info_rows, cov = _row_terms(gm, gm.gains.a if gains is None else gains)
+    signal, info_rows, cov = _row_terms(gm, gains)
     I0 = np.zeros(gm.n)
     np.add.at(I0, gm.row_receiver, info_rows)
     if y is None:
@@ -213,7 +200,7 @@ def decompose_information(gm: GlobalModel, gains=None, y=None):
 def sample_received(
     model: NetworkModel,
     gm: GlobalModel,
-    gains=None,
+    gains,
     *,
     size: int | None = None,
     seed: int = 0,
@@ -225,7 +212,9 @@ def sample_received(
     draw.  Returns shape ``(M,)`` or ``(size, M)``; deterministic per
     seed.
     """
-    a = gm.gains.a if gains is None else _gain_array(gains)
+    a = _gain_array(gains)
+    if a.size != gm.n:
+        raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     shape = (1 if size is None else size, gm.m)
     sv = np.sqrt(gm.row_sigma_v() / 2.0)
@@ -235,21 +224,3 @@ def sample_received(
     signal = gm.row_h * a[gm.row_sender]
     y = signal * (model.theta + v) + w
     return y[0] if size is None else y
-
-
-def plan_to_json(plan: SelectionPlan) -> str:
-    doc = {"retained": [[k, s] for k, s in plan.retained], "r": plan.r}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def global_model_to_json(gm: GlobalModel) -> str:
-    doc = {
-        "n": gm.n,
-        "m": gm.m,
-        "row_map": [[r, k, s] for r, k, s in gm.row_map],
-        "row_h": [[z.real, z.imag] for z in gm.row_h.tolist()],
-        "sigma_rows": gm.sigma_rows.tolist(),
-        "v_diag": gm.v_diag.tolist(),
-        "sigma_n_sq": gm.sigma_n_sq,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -60,6 +60,9 @@ __all__ = [
 _EPS = 4.0 * float(np.finfo(float).eps)
 _SECULAR_STEPS = 100
 
+EPS_ABS = 1e-9          # additive floor on the diagonal load
+MONOTONE_SLACK = 1e-10  # tolerance on the non-increase checks
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -71,15 +74,13 @@ class OptimizerConfig:
     inner_iters: int = 500
     inner_tol: float = 1e-10
     max_outer: int = 200
-    eps_abs: float = 1e-9          # additive floor on the diagonal load
-    monotone_slack: float = 1e-10  # tolerance on the non-increase checks
 
     def __post_init__(self):
         if self.eta0_factor <= 1.0:
             raise ValueError("eta0_factor must exceed 1")
         if self.lambda_margin < 1.0:
             raise ValueError("lambda_margin must be at least 1")
-        if min(self.xi, self.inner_tol, self.eps_abs) <= 0.0:
+        if min(self.xi, self.inner_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
         if min(self.inner_iters, self.max_outer) < 1:
             raise ValueError("iteration caps must be at least 1")
@@ -319,7 +320,7 @@ def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
     """
     if Q.top.shape != (a.n,) or Q.border.shape != (a.n,):
         raise DimensionMismatch(f"arrow of size {Q.top.size + 1} for {a.n} gains")
-    lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
+    lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
     load = lam - Q.top
     cur = a.a.copy()
     v = load * cur - Q.border
@@ -332,7 +333,7 @@ def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
             break
         v = load * new - Q.border
         obj_new = float(np.real(np.vdot(new, v - Q.border))) + lam
-        if obj_new < obj - cfg.monotone_slack * max(1.0, abs(obj)):
+        if obj_new < obj - MONOTONE_SLACK * max(1.0, abs(obj)):
             raise MonotonicityViolation(f"loaded quadratic form decreased: {obj} -> {obj_new}")
         step = float(np.max(np.abs(new - cur)))
         cur = new
@@ -380,7 +381,7 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
         y = update_y(gm, a)
         eta = record(a, used)
         cycles += 1
-        if eta > eta_prev + cfg.monotone_slack:
+        if eta > eta_prev + MONOTONE_SLACK:
             raise MonotonicityViolation(f"objective increased across outer cycle: {eta_prev} -> {eta}")
         if eta < best_eta:
             best_eta = eta

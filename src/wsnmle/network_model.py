@@ -130,9 +130,9 @@ class NetworkModel:
         links = g.links
         if h.shape != links.sender.shape:
             raise DimensionMismatch(f"{h.size} channels for {links.sender.size} directed links plus self links")
-        bad = (links.receiver == links.sender) & (h != 1)
+        bad = h[links.own] != 1
         if bad.any():
-            i = int(links.sender[np.argmax(bad)])
+            i = int(np.argmax(bad))
             raise ValueError(f"self channel h[({i},{i})] must be exactly 1")
         object.__setattr__(self, "h", h)
 
@@ -143,8 +143,10 @@ class NetworkModel:
     def tx_noise(self) -> np.ndarray:
         """Transmission-noise variance of every link."""
         links = self.graph.links
-        noisy = (links.receiver != links.sender) | self.noisy_self_link
-        return np.where(noisy, float(self.sigma_n_sq), 0.0)
+        tx = np.full(links.sender.size, float(self.sigma_n_sq))
+        if not self.noisy_self_link:
+            tx[links.own] = 0.0
+        return tx
 
 
 def sample_channels(

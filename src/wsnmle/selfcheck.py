@@ -24,6 +24,7 @@ from .fusion import (
     select_retainers,
 )
 from .gain_optimizer import (
+    EPS_ABS,
     OptimizerConfig,
     build_Q,
     build_R,
@@ -161,7 +162,8 @@ def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
     """Quadratic recast of the gain-dependent noise energy."""
     for _ in range(cases):
         g, model, a, gm = _random_global(rng, n_max)
-        H = gm.H
+        H = np.zeros((gm.m, gm.n), dtype=complex)  # the dense sensing matrix, one nonzero per row
+        H[np.arange(gm.m), gm.row_sender] = gm.row_h
         V = np.diag(gm.v_diag)
         ar = rng.standard_normal(gm.n) + 1j * rng.standard_normal(gm.n)
         yt = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
@@ -219,7 +221,7 @@ def check_optimizer(rng, cases, n_max):
         if trace.var_final > ml_variance(gm, a0):
             return "optimization did not improve on the initial gains"
         Q, _ = build_Q(gm, update_y(gm, a).tail, safe_eta0(gm, cfg))
-        lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
+        lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         if mineig < -1e-9:
             return f"diagonal load leaves a negative eigenvalue {mineig:.2e}"

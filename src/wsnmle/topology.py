@@ -52,8 +52,9 @@ class Links(NamedTuple):
     Link ``l`` carries node ``sender[l]``'s broadcast to ``receiver[l]``;
     ``starts[i]`` is the first link received by node ``i`` (its segment
     runs to ``starts[i + 1]``), ``reverse[l]`` is the link in the opposite
-    direction (a self link is its own reverse), and ``forward[k]`` is the
-    link ``(i, j)`` of edge ``k = (i, j)``, ``i < j``.
+    direction (a self link is its own reverse), ``forward[k]`` is the
+    link ``(i, j)`` of edge ``k = (i, j)``, ``i < j``, and ``own[i]`` is
+    node ``i``'s self link ``(i, i)``.
     """
 
     receiver: np.ndarray
@@ -61,6 +62,7 @@ class Links(NamedTuple):
     starts: np.ndarray
     reverse: np.ndarray
     forward: np.ndarray
+    own: np.ndarray
 
     def index(self, pairs) -> np.ndarray:
         """Link indices of ``(receiver, sender)`` pairs.
@@ -119,7 +121,7 @@ def _links(n: int, edges: np.ndarray) -> Links:
     reverse[pos] = pos[np.concatenate((np.arange(m, 2 * m), np.arange(m), np.arange(2 * m, keys.size)))]
     receiver, sender = np.divmod(keys, n)
     starts = np.searchsorted(receiver, nodes)
-    return Links(receiver, sender, starts, reverse, pos[:m])
+    return Links(receiver, sender, starts, reverse, pos[:m], pos[2 * m :])
 
 
 def _connected(links: Links) -> bool:

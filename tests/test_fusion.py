@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
+from dense import dense_H
 
-from wsnmle.errors import ZeroInformation
+from wsnmle.errors import DimensionMismatch, ZeroInformation
 from wsnmle.fusion import (
     SelectionPlan,
     build_global_model,
     decompose_information,
-    global_model_to_json,
     information_total,
     ml_estimate,
     ml_variance,
     noise_cov_rows,
-    plan_to_json,
     sample_received,
     select_retainers,
 )
@@ -41,31 +40,37 @@ def _scenario(n, seed, sigma_v=1.0, sigma_n=0.5, theta=2.0 + 1.0j, noisy_self=Fa
     return g, model, a, plan, gm
 
 
+def _pairs(g, plan):
+    # The (receiver, sender) pairs of a plan's retained link indices.
+    return list(zip(g.links.receiver[plan.retained].tolist(), g.links.sender[plan.retained].tolist()))
+
+
 # --- row selection -----------------------------------------------------------
 
 
 def test_select_retainers_path_trace():
     g = _path3()
     plan = select_retainers(g, np.array([1.0, 5.0, 2.0]))
-    assert set(plan.retained) == {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (1, 2)}
+    assert _pairs(g, plan) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert plan.r == 1  # 2|E| = 4 directed links, 3 retained
 
 
 def test_select_retainers_tie_breaks_to_smallest_id():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     plan = select_retainers(g, np.ones(4))
+    pairs = _pairs(g, plan)
     # Sender 0's neighbors all tie; the smallest id retains.
-    assert (1, 0) in plan.retained
-    assert (2, 0) not in plan.retained and (3, 0) not in plan.retained
+    assert (1, 0) in pairs
+    assert (2, 0) not in pairs and (3, 0) not in pairs
     # Leaves have a single neighbor, the hub.
     for leaf in (1, 2, 3):
-        assert (0, leaf) in plan.retained
+        assert (0, leaf) in pairs
 
 
 def test_select_retainers_single_node():
     g = build_graph(1, [])
     plan = select_retainers(g, np.array([3.0]))
-    assert plan.retained == ((0, 0),)
+    assert plan.retained.tolist() == [0] and _pairs(g, plan) == [(0, 0)]
     assert plan.r == 0
 
 
@@ -86,12 +91,12 @@ def test_global_model_row_count_and_order():
     assert gm.m == 6
     rows = list(zip(gm.row_receiver.tolist(), gm.row_sender.tolist()))
     assert rows == sorted(rows)
-    assert set(rows) == set(plan.retained)
+    assert rows == _pairs(g, plan)
 
 
 def test_global_model_unit_rows_are_basis_rows():
     g, model, a, plan, gm = _scenario(4, 1, unit=True)
-    H = gm.H
+    H = dense_H(gm)
     for r in range(gm.m):
         assert np.count_nonzero(H[r]) == 1
         assert H[r, gm.row_sender[r]] == 1.0
@@ -178,6 +183,13 @@ def test_ml_variance_matches_monte_carlo():
     assert emp == pytest.approx(ml_variance(gm, a), rel=0.05)
 
 
+def test_sample_received_checks_gain_count():
+    g, model, a, plan, gm = _scenario(4, 12)
+    for gains in (np.ones(1), np.ones(7)):
+        with pytest.raises(DimensionMismatch):
+            sample_received(model, gm, gains, seed=1)
+
+
 def test_zero_information_raises():
     g, model, _, plan, gm = _scenario(2, 11, sigma_n=1.0, noisy_self=True)
     # A zero gain vector is infeasible for both domains; pass the raw array.
@@ -198,7 +210,7 @@ def test_partition_identity_against_dense_solve():
         total = information_total(gm, a)
         # independent oracle: dense covariance assembly and a generic solve
         C = np.diag(noise_cov_rows(gm, a))
-        Ha = gm.H @ a.a
+        Ha = dense_H(gm) @ a.a
         dense = float(np.real(np.conj(Ha) @ np.linalg.solve(C, Ha)))
         assert abs(np.sum(I0) - total) <= 1e-12 * total
         assert abs(dense - total) <= 1e-12 * total
@@ -228,7 +240,7 @@ def test_node_with_no_rows_contributes_zero():
     model = NetworkModel(graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=1.0, theta=1.0)
     a = GainVector.ones(2, GainDomain.FIXED_ENERGY)
     # Hypothetical plan where node 1 retains nothing at all.
-    plan = SelectionPlan(retained=((0, 0), (0, 1)), r=3)
+    plan = SelectionPlan(retained=g.links.index([(0, 0), (0, 1)]), r=3)
     gm = build_global_model(model, plan, a)
     I0 = decompose_information(gm, a)
     assert I0[1] == 0.0
@@ -248,8 +260,19 @@ def test_variance_phase_invariant():
     assert ml_variance(gm, spun) == pytest.approx(ref, rel=1e-12)
 
 
-def test_plan_and_model_dumps():
+def test_build_global_model_rejects_malformed_plan():
     g, model, a, plan, gm = _scenario(3, 36)
-    assert plan_to_json(plan).startswith('{"r":')
-    doc = global_model_to_json(gm)
-    assert '"row_map"' in doc and doc.endswith("\n")
+    size = g.links.sender.size
+    for retained in (
+        [0, size],            # out of range
+        [-1, 0],              # negative
+        [2, 0, 3],            # unsorted
+        [0, 0, 3],            # duplicate
+        [[0, 1], [2, 3]],     # 2-d
+        [0.0, 1.0],           # not integers
+    ):
+        with pytest.raises(DimensionMismatch, match="strictly ascending link indices"):
+            build_global_model(model, SelectionPlan(retained=np.array(retained), r=plan.r), a)
+    # The plan select_retainers made, passed as a list, is accepted.
+    rebuilt = build_global_model(model, SelectionPlan(retained=plan.retained.tolist(), r=plan.r), a)
+    np.testing.assert_array_equal(rebuilt.row_h, gm.row_h)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from dense import dense_H
 
 from wsnmle import gain_optimizer
 from wsnmle.errors import MonotonicityViolation, SingularCovariance, ZeroTransmissionNoise
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
+    EPS_ABS,
+    MONOTONE_SLACK,
     Arrow,
     AuxVector,
     OptimizerConfig,
@@ -38,7 +41,6 @@ def _gm_rows(row_h, sigma_rows, v_diag, senders=None, sigma_n_sq=None):
         sigma_rows=sigma_rows,
         v_diag=np.asarray(v_diag, dtype=float),
         sigma_n_sq=float(sigma_rows.max() if sigma_n_sq is None else sigma_n_sq),
-        gains=GainVector.ones(n, GainDomain.FIXED_ENERGY),
     )
 
 
@@ -232,7 +234,7 @@ def test_hadamard_identity_dense():
     rng = np.random.default_rng(90)
     for seed in range(20):
         model, a, gm = _scenario(4, 200 + seed)
-        H = gm.H
+        H = dense_H(gm)
         V = np.diag(gm.v_diag)
         ar = rng.standard_normal(gm.n) + 1j * rng.standard_normal(gm.n)
         yt = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
@@ -315,7 +317,7 @@ def test_power_iterate_monotone_loaded_form():
         Qd = Q.dense()
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
-            lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
+            lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
             w0 = np.append(start.a, 1.0)
             before = float(np.real(np.conj(w0) @ (lam * w0 - Qd @ w0)))
             out, used = power_iterate(start, Q, cfg)
@@ -334,7 +336,7 @@ def test_diagonal_load_keeps_matrix_psd():
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q, _ = build_Q(gm, tail, safe_eta0(gm, cfg))
-        lam = cfg.lambda_margin * lambda_max_estimate(Q) + cfg.eps_abs
+        lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         assert mineig >= -1e-9
 
@@ -387,7 +389,7 @@ def _dense_optimize(gm, cfg, a_init):
     converged = False
     for _ in range(cfg.max_outer):
         Q = build_Q(gm, tail, eta0)[0].dense()
-        lam = cfg.lambda_margin * _dense_lambda_max(Q) + cfg.eps_abs
+        lam = cfg.lambda_margin * _dense_lambda_max(Q) + EPS_ABS
         cur = a
         obj = loaded(np.append(cur, 1.0), lam, Q)
         used = 0
@@ -398,7 +400,7 @@ def _dense_optimize(gm, cfg, a_init):
             if new is None:
                 break
             obj_new = loaded(np.append(new, 1.0), lam, Q)
-            assert obj_new >= obj - cfg.monotone_slack * max(1.0, abs(obj))
+            assert obj_new >= obj - MONOTONE_SLACK * max(1.0, abs(obj))
             step = float(np.max(np.abs(new - cur)))
             cur, obj = new, obj_new
             if step <= cfg.inner_tol:

@@ -65,12 +65,18 @@ def _dict_information(g, h, model, gains):
 
 def _max_selection(g, info):
     # Per sender, the neighbour with the largest information; ties to the
-    # smallest id.
+    # smallest id.  Returns the sorted (receiver, sender) pairs and r.
     retained = [(i, i) for i in range(g.n)]
     for sender, nbrs in enumerate(_neighbour_sets(g)):
         if nbrs:
             retained.append((max(nbrs, key=lambda j: (info[j], -j)), sender))
-    return SelectionPlan(retained=tuple(sorted(retained)), r=2 * g.num_edges - (len(retained) - g.n))
+    return sorted(retained), 2 * g.num_edges - (len(retained) - g.n)
+
+
+def _plan_pairs(g, plan):
+    # A plan's link indices as (receiver, sender) pairs, in plan order, and r.
+    links = g.links
+    return list(zip(links.receiver[plan.retained].tolist(), links.sender[plan.retained].tolist())), plan.r
 
 
 GRAPHS = {
@@ -114,10 +120,10 @@ def test_link_table_matches_per_link_oracles(graph, channel, noisy_self):
         oracle_info = _dict_information(g, h_dict, model, gains)
         np.testing.assert_allclose(info, oracle_info, rtol=1e-14, atol=0.0)
         plan = select_retainers(g, info)
-        assert plan == _max_selection(g, info)
-        assert plan == select_retainers(g, oracle_info) == _max_selection(g, oracle_info)
+        assert _plan_pairs(g, plan) == _max_selection(g, info) == _max_selection(g, oracle_info)
+        np.testing.assert_array_equal(select_retainers(g, oracle_info).retained, plan.retained)
         gm = build_global_model(model, plan, gains)
-        assert tuple(zip(gm.row_receiver.tolist(), gm.row_sender.tolist())) == plan.retained
+        assert list(zip(gm.row_receiver.tolist(), gm.row_sender.tolist())) == _plan_pairs(g, plan)[0]
 
 
 # --- properties of the link table on random graphs ---------------------------
@@ -148,6 +154,8 @@ def test_links_sorted_with_one_self_link_per_segment(g):
     np.testing.assert_array_equal(links.starts, np.searchsorted(links.receiver, np.arange(g.n)))
     np.testing.assert_array_equal(links.receiver[links.starts], np.arange(g.n))
     np.testing.assert_array_equal(np.bincount(links.receiver[links.receiver == links.sender], minlength=g.n), 1)
+    np.testing.assert_array_equal(links.own, np.flatnonzero(links.receiver == links.sender))
+    np.testing.assert_array_equal(links.sender[links.own], np.arange(g.n))
     np.testing.assert_array_equal(links.reverse[links.reverse], np.arange(keys.size))
     np.testing.assert_array_equal(links.receiver[links.reverse], links.sender)
     np.testing.assert_array_equal(links.receiver[links.forward], g.edges[:, 0])
@@ -182,11 +190,11 @@ def test_information_partitions_and_matches_uncompressed_stack(g, seed, noisy_se
     gains = GainVector.random(g.n, GainDomain.FIXED_ENERGY, rng)
     info = node_information(model, gains)
     plan = select_retainers(g, info)
-    assert plan == _max_selection(g, info)
+    assert _plan_pairs(g, plan) == _max_selection(g, info)
     gm = build_global_model(model, plan, gains)
     total = information_total(gm, gains)
     assert abs(float(np.sum(decompose_information(gm, gains))) - total) <= 1e-12 * total
     # Node information is the partition of the uncompressed link table.
-    every = tuple(zip(g.links.receiver.tolist(), g.links.sender.tolist()))
+    every = np.arange(g.links.sender.size)
     full = build_global_model(model, SelectionPlan(retained=every, r=0), gains)
     np.testing.assert_allclose(decompose_information(full, gains), info, rtol=1e-13)

@@ -196,7 +196,8 @@ def test_hand_built_graph_equals_built_graph():
 
 def test_graph_is_read_only_and_input_agnostic():
     g = Graph(n=3, edges=((0, 1), (1, 2)))
-    for a in (g.edges, *g.links):
+    assert g.links.own.tolist() == [0, 3, 6]
+    for a in (g.edges, *g.links):  # links.own included
         with pytest.raises(ValueError):
             a[0] = 0
     array = np.array([[0, 1], [1, 2]])
