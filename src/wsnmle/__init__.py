@@ -19,12 +19,10 @@ from .fusion import (
     select_retainers,
 )
 from .gain_optimizer import (
-    AuxVector,
     OptimizerConfig,
     OptTrace,
     build_Q,
     build_R,
-    eta0_bound,
     g_value,
     optimize,
     power_iterate,

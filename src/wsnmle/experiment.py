@@ -190,14 +190,12 @@ def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex)
 
 
 def write_opt_trace(path, trace: OptTrace) -> None:
-    """Optimizer CSV: outer_iter, eta, variance, inner_iters_used."""
+    """Optimizer CSV: outer_iter, variance, inner_iters_used."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["outer_iter", "eta", "variance", "inner_iters_used"])
-        for k, (eta, var, used) in enumerate(
-            zip(trace.etas, trace.variances, trace.inner_iters_used)
-        ):
-            w.writerow([k, _fmt(eta), _fmt(var), used])
+        w.writerow(["outer_iter", "variance", "inner_iters_used"])
+        for k, (var, used) in enumerate(zip(trace.variances, trace.inner_iters_used)):
+            w.writerow([k, _fmt(var), used])
 
 
 def write_gains(path, gains: GainVector) -> None:

@@ -1,28 +1,33 @@
 """Cyclic sensor-gain optimization via a bordered-matrix reformulation.
 
 The estimator variance is minimized by maximizing the information
-``f(a) = a^H H^H C(a)^{-1} H a`` over the gain domain.  Writing
-``eta = eta0 - f(a)`` with ``eta0`` large enough to keep ``eta``
-positive, the problem becomes the joint minimization of the quadratic
-form ``g(y, a) = y^H R(a) y`` over auxiliary vectors ``y`` with first
-component pinned to 1, where ``R(a)`` borders the combined noise
-covariance with the signal vector:
+``f(a) = a^H H^H C(a)^{-1} H a`` over the gain domain.  For any offset
+``eta0`` the bordered matrix
 
     R = [[eta0,  (Ha)^H],
-         [Ha,    C(a)  ]].
+         [Ha,    C(a)  ]]
+
+has Schur complement ``eta0 - f(a)``, the minimum of the quadratic form
+``g(y, a) = y^H R(a) y`` over auxiliary vectors ``y = (1, ytilde)``.  So
+maximizing ``f`` is the joint minimization of ``g`` over the tail
+``ytilde`` and the gains (the power-method-like recast of Soltanalian &
+Stoica, "Designing unimodular codes via quadratic optimization", IEEE
+TSP 2014).  Neither update depends on ``eta0``, so the optimizer tracks
+``f`` itself; ``eta0`` appears only in the dense reference
+:func:`build_R`.
 
 For fixed gains the optimal ``y`` is the normalized first column of
 ``R^{-1}`` (equivalently the vector orthogonal to all but the first row
-of ``R``, the paper's Gram-Schmidt step), and its objective value equals
-``eta``.  Because ``C(a)`` is diagonal after compression, ``R`` is an
-arrow matrix and that vector has the closed form ``(1, -Ha / C(a))``.
-For fixed ``y`` the objective is an exact quadratic in the gains through
-an (N+1)-dimensional arrow matrix ``Q``; diagonally loading ``Q`` turns
-the constrained quadratic maximization into power-method-like iterations
-whose objective never decreases.  The load is a margin times the exact
-largest eigenvalue of ``Q``, the largest root of the arrow's secular
-equation (:func:`lambda_max_estimate`).  Alternating the two updates drives
-``eta`` monotonically down.  Neither matrix is ever formed densely by the
+of ``R``, the paper's Gram-Schmidt step).  Because ``C(a)`` is diagonal
+after compression, ``R`` is an arrow matrix and that tail has the closed
+form ``-Ha / C(a)``.  For fixed ``ytilde`` the objective is, up to a
+constant, an exact quadratic in the gains through an (N+1)-dimensional
+arrow matrix ``Q``; diagonally loading ``Q`` turns the constrained
+quadratic maximization into power-method-like iterations whose objective
+never decreases.  The load is a margin times the exact largest
+eigenvalue of ``Q``, the largest root of the arrow's secular equation
+(:func:`lambda_max_estimate`).  Alternating the two updates drives ``f``
+monotonically up.  Neither matrix is ever formed densely by the
 optimizer; :func:`build_R` and :meth:`Arrow.dense` exist as references.
 """
 
@@ -40,9 +45,7 @@ from .network_model import GainDomain, GainVector
 
 __all__ = [
     "OptimizerConfig",
-    "AuxVector",
     "OptTrace",
-    "eta0_bound",
     "build_R",
     "update_y",
     "g_value",
@@ -61,14 +64,13 @@ _EPS = 4.0 * float(np.finfo(float).eps)
 _SECULAR_STEPS = 100
 
 EPS_ABS = 1e-9          # additive floor on the diagonal load
-MONOTONE_SLACK = 1e-10  # tolerance on the non-increase checks
+MONOTONE_SLACK = 1e-10  # tolerance on the monotonicity checks
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs of the cyclic optimizer."""
 
-    eta0_factor: float = 1.01
     lambda_margin: float = 1.05
     xi: float = 1e-8
     inner_iters: int = 500
@@ -76,8 +78,6 @@ class OptimizerConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if self.eta0_factor <= 1.0:
-            raise ValueError("eta0_factor must exceed 1")
         if self.lambda_margin < 1.0:
             raise ValueError("lambda_margin must be at least 1")
         if min(self.xi, self.inner_tol) <= 0.0:
@@ -86,37 +86,16 @@ class OptimizerConfig:
             raise ValueError("iteration caps must be at least 1")
 
 
-@dataclass(frozen=True)
-class AuxVector:
-    """Auxiliary vector of length M+1 with first component exactly 1."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=complex)
-        if y.ndim != 1 or y.size < 1:
-            raise DimensionMismatch("auxiliary vector must be a nonempty 1-d array")
-        if y[0] != 1.0:
-            raise ValueError("first component of the auxiliary vector must be exactly 1")
-        object.__setattr__(self, "y", y)
-
-    @property
-    def tail(self) -> np.ndarray:
-        """The M trailing components."""
-        return self.y[1:]
-
-
 @dataclass
 class OptTrace:
     """Record of one optimization run.
 
-    ``etas[0]`` is the objective at the initial gains; subsequent entries
-    follow each outer cycle.  ``gains`` holds the best iterate (lowest
-    recorded objective), which coincides with the last one whenever the
-    run is strictly monotone.
+    ``variances[0]`` is the estimator variance at the initial gains;
+    subsequent entries follow each outer cycle.  ``gains`` holds the best
+    iterate (highest information), which coincides with the last one
+    whenever the run is strictly monotone.
     """
 
-    etas: list[float] = field(default_factory=list)
     variances: list[float] = field(default_factory=list)
     inner_iters_used: list[int] = field(default_factory=list)
     gains: GainVector | None = None
@@ -124,32 +103,6 @@ class OptTrace:
     var_final: float = 0.0
     converged: bool = False
     outer_cycles: int = 0
-
-
-def eta0_bound(gm: GlobalModel, sigma_n_sq: float, eta0_factor: float = 1.01) -> float:
-    """Offset keeping the reformulated objective positive.
-
-    Returns ``eta0_factor * N * ||H||_F^2 / sigma_n^2``.  Requires
-    positive transmission noise (the bound treats ``sigma_n^2`` as the
-    smallest transmission-noise variance).
-    """
-    if sigma_n_sq <= 0.0:
-        raise ZeroTransmissionNoise("gain optimization requires sigma_n_sq > 0")
-    frob_sq = float(np.sum(np.abs(gm.row_h) ** 2))
-    return eta0_factor * gm.n * frob_sq / sigma_n_sq
-
-
-def _info_upper_bound(gm: GlobalModel) -> float:
-    # Each row contributes at most the reciprocal of its sender's
-    # observation-noise variance, for any gains; needed because rows
-    # without transmission noise are not covered by the Frobenius bound.
-    return float(np.sum(1.0 / gm.row_sigma_v()))
-
-
-def safe_eta0(gm: GlobalModel, cfg: OptimizerConfig) -> float:
-    """Offset valid even when some rows carry no transmission noise."""
-    frobenius = eta0_bound(gm, gm.sigma_n_sq, cfg.eta0_factor)
-    return max(frobenius, cfg.eta0_factor * _info_upper_bound(gm))
 
 
 def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
@@ -172,27 +125,29 @@ def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
     return R
 
 
-def update_y(gm: GlobalModel, a) -> AuxVector:
-    """Minimize the bordered quadratic form over vectors with first component 1.
+def update_y(gm: GlobalModel, a) -> np.ndarray:
+    """Minimize the bordered quadratic form over vectors ``y = (1, ytilde)``.
 
     ``R(a)`` is an arrow matrix (diagonal ``cov`` bordered by ``Ha``), so
     the vector orthogonal to all but its first row -- what a dense solve
     of ``R y = e1`` or Gram-Schmidt would return after normalization --
-    is ``y = (1, -Ha / cov)``, and ``R y = eta e1``.  Raises
+    is ``(1, -Ha / cov)``, and ``R y = (eta0 - f(a)) e1``.  Returns the
+    tail ``ytilde = -Ha / cov``; the leading 1 is implied.  Raises
     :class:`SingularCovariance` if some row has zero combined noise.
     """
     a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
-    cov = noise_cov_rows(gm, a)
-    return AuxVector(y=np.concatenate(([1.0 + 0j], -gm.row_h * a[gm.row_sender] / cov)))
+    return -gm.row_h * a[gm.row_sender] / noise_cov_rows(gm, a)
 
 
-def g_value(y: AuxVector, R: np.ndarray) -> float:
-    """Evaluate the (real) quadratic form of the dense bordered matrix."""
-    if y.y.size != R.shape[0]:
+def g_value(ytilde: np.ndarray, R: np.ndarray) -> float:
+    """Evaluate the (real) quadratic form of the dense bordered matrix at ``(1, ytilde)``."""
+    ytilde = np.asarray(ytilde, dtype=complex)
+    if ytilde.size + 1 != R.shape[0]:
         raise DimensionMismatch(
-            f"auxiliary vector of length {y.y.size} for a {R.shape[0]}x{R.shape[1]} matrix"
+            f"tail vector of length {ytilde.size} for a {R.shape[0]}x{R.shape[1]} matrix"
         )
-    return float(np.real(np.conj(y.y) @ (R @ y.y)))
+    y = np.concatenate(([1.0 + 0j], ytilde))
+    return float(np.real(np.conj(y) @ (R @ y)))
 
 
 class Arrow(NamedTuple):
@@ -215,19 +170,19 @@ class Arrow(NamedTuple):
         return Q
 
 
-def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float) -> tuple[Arrow, float]:
+def build_Q(gm: GlobalModel, ytilde: np.ndarray) -> Arrow:
     """Recast the quadratic form as an arrow matrix in the gains.
 
     For fixed tail ``ytilde`` of the auxiliary vector,
 
-        y^H R(a) y  =  C1  +  (a, 1)^H Q (a, 1)    for every a,
+        y^H R(a) y  =  eta0 + ytilde^H Sigma ytilde  +  (a, 1)^H Q (a, 1)
 
-    with ``C1 = eta0 + ytilde^H Sigma ytilde`` independent of the gains.
-    ``Q``'s top-left block is the diagonal matrix collecting, per sender,
-    the tail-weighted channel energies times the sender's observation
-    variance; its border is ``H^H ytilde``.  (When every sender occupies
-    a single row this equals the rank-one form ``(H^H y y^H H) .* V``.)
-    Returns ``(Q, C1)`` with ``Q`` as an :class:`Arrow`.
+    for every ``a``; the first two terms do not depend on the gains, so
+    only ``Q`` is returned.  ``Q``'s top-left block is the diagonal matrix
+    collecting, per sender, the tail-weighted channel energies times the
+    sender's observation variance; its border is ``H^H ytilde``.  (When
+    every sender occupies a single row this equals the rank-one form
+    ``(H^H ytilde ytilde^H H) .* V``.)
     """
     ytilde = np.asarray(ytilde, dtype=complex)
     if ytilde.size != gm.m:
@@ -237,8 +192,7 @@ def build_Q(gm: GlobalModel, ytilde: np.ndarray, eta0: float) -> tuple[Arrow, fl
     np.add.at(top, gm.row_sender, weights)
     border = np.zeros(gm.n, dtype=complex)
     np.add.at(border, gm.row_sender, np.conj(gm.row_h) * ytilde)
-    c1 = float(eta0 + np.sum(gm.sigma_rows * np.abs(ytilde) ** 2))
-    return Arrow(top * gm.v_diag, border), c1
+    return Arrow(top * gm.v_diag, border)
 
 
 def lambda_max_estimate(Q: Arrow) -> float:
@@ -347,53 +301,44 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
     """Run the cyclic gain optimization on a frozen global model.
 
     The auxiliary vector is initialized at its optimum for the initial
-    gains, so the recorded objective sequence starts at the initial
-    gains' value and never increases.  The selection plan baked into
-    ``gm`` stays fixed for the whole run; re-selecting rows is a
-    between-runs operation (see the experiment driver).
+    gains, so the recorded information starts at the initial gains' value
+    and never decreases.  The run stops once one outer cycle changes the
+    information by at most ``cfg.xi``, or after ``cfg.max_outer`` cycles.
+    The selection plan baked into ``gm`` stays fixed for the whole run;
+    re-selecting rows is a between-runs operation (see the experiment
+    driver).  Raises :class:`ZeroTransmissionNoise` unless
+    ``gm.sigma_n_sq > 0``.
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
     """
     if a_init.n != gm.n:
         raise DimensionMismatch(f"{a_init.n} gains for {gm.n} nodes")
-    eta0 = safe_eta0(gm, cfg)
+    if gm.sigma_n_sq <= 0.0:
+        raise ZeroTransmissionNoise("gain optimization requires sigma_n_sq > 0")
     trace = OptTrace()
 
     def record(gains: GainVector, inner_used: int) -> float:
         info = information_total(gm, gains.a)
-        eta = eta0 - info
-        trace.etas.append(eta)
         trace.variances.append(np.inf if info <= 0.0 else 1.0 / info)
         trace.inner_iters_used.append(inner_used)
-        return eta
+        return info
 
-    a = a_init
-    eta_prev = record(a, 0)
-    best_eta = eta_prev
-    best_a = a
-    y = update_y(gm, a)
-    converged = False
-    cycles = 0
+    a = best_a = a_init
+    info_prev = best_info = record(a, 0)
     for _ in range(cfg.max_outer):
-        Q, _c1 = build_Q(gm, y.tail, eta0)
-        a, used = power_iterate(a, Q, cfg)
-        y = update_y(gm, a)
-        eta = record(a, used)
-        cycles += 1
-        if eta > eta_prev + MONOTONE_SLACK:
-            raise MonotonicityViolation(f"objective increased across outer cycle: {eta_prev} -> {eta}")
-        if eta < best_eta:
-            best_eta = eta
-            best_a = a
-        if abs(eta_prev - eta) <= cfg.xi:
-            converged = True
-            eta_prev = eta
+        a, used = power_iterate(a, build_Q(gm, update_y(gm, a)), cfg)
+        info = record(a, used)
+        if info < info_prev - MONOTONE_SLACK:
+            raise MonotonicityViolation(f"information decreased across outer cycle: {info_prev} -> {info}")
+        if info > best_info:
+            best_info, best_a = info, a
+        if abs(info - info_prev) <= cfg.xi:
+            trace.converged = True
             break
-        eta_prev = eta
+        info_prev = info
     trace.gains = best_a
-    trace.info_final = information_total(gm, best_a.a)
-    trace.var_final = 1.0 / trace.info_final
-    trace.converged = converged
-    trace.outer_cycles = cycles
+    trace.info_final = best_info
+    trace.var_final = 1.0 / best_info
+    trace.outer_cycles = len(trace.inner_iters_used) - 1
     return trace

@@ -31,7 +31,6 @@ from .gain_optimizer import (
     g_value,
     lambda_max_estimate,
     optimize,
-    safe_eta0,
     update_y,
 )
 from .network_model import (
@@ -177,29 +176,30 @@ def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
 
 def check_equivalence(rng, cases, n_max):
     """The three evaluations of the reformulated objective agree."""
-    cfg = OptimizerConfig()
     for _ in range(cases):
         g, model, a, gm = _random_global(rng, n_max)
-        eta0 = safe_eta0(gm, cfg)
+        # Each row carries at most 1/sigma_v^2 information, so this offset
+        # exceeds f(a) and keeps the Schur complement positive.
+        eta0 = 2.0 * float(np.sum(1.0 / gm.row_sigma_v()))
         R = build_R(gm, a.a, eta0)
         eta_schur = eta0 - information_total(gm, a.a)
         e1 = np.zeros(gm.m + 1, dtype=complex)
         e1[0] = 1.0
         first_col = np.linalg.solve(R, e1)
         eta_inv = 1.0 / float(np.real(first_col[0]))
-        y = update_y(gm, a)
-        eta_g = g_value(y, R)
+        ytilde = update_y(gm, a)
+        eta_g = g_value(ytilde, R)
         if abs(eta_inv - eta_schur) > 1e-8 * eta_schur:
             return f"inverse-entry evaluation off: {eta_inv} vs {eta_schur}"
         if abs(eta_g - eta_schur) > 1e-8 * eta_schur:
             return f"quadratic-form evaluation off: {eta_g} vs {eta_schur}"
-        if float(np.max(np.abs(y.y - first_col / first_col[0]))) > 1e-8:
+        if float(np.max(np.abs(ytilde - first_col[1:] / first_col[0]))) > 1e-8:
             return "closed-form and dense-solve auxiliary vectors disagree"
     return None
 
 
 def check_optimizer(rng, cases, n_max):
-    """Monotone objective, feasible iterates, and a valid diagonal load."""
+    """Monotone information, feasible iterates, and a valid diagonal load."""
     cfg = OptimizerConfig()
     for _ in range(cases):
         domain = GainDomain.FIXED_ENERGY if rng.random() < 0.5 else GainDomain.UNIMODULAR
@@ -208,9 +208,9 @@ def check_optimizer(rng, cases, n_max):
         plan = select_retainers(g, node_information(model, a0))
         gm = build_global_model(model, plan, a0)
         trace = optimize(gm, cfg, a0)
-        etas = np.asarray(trace.etas)
-        if np.any(np.diff(etas) > 1e-10):
-            return f"objective increased along the trace (max jump {np.max(np.diff(etas)):.2e})"
+        info = 1.0 / np.asarray(trace.variances)
+        if np.any(np.diff(info) < -1e-10):
+            return f"information decreased along the trace (max drop {-np.min(np.diff(info)):.2e})"
         a = trace.gains.a
         if domain is GainDomain.FIXED_ENERGY:
             if abs(float(np.sum(np.abs(a) ** 2)) - gm.n) > 1e-9 * gm.n:
@@ -220,7 +220,7 @@ def check_optimizer(rng, cases, n_max):
                 return "final gains violate the unit-modulus constraint"
         if trace.var_final > ml_variance(gm, a0):
             return "optimization did not improve on the initial gains"
-        Q, _ = build_Q(gm, update_y(gm, a).tail, safe_eta0(gm, cfg))
+        Q = build_Q(gm, update_y(gm, a))
         lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         if mineig < -1e-9:

@@ -23,7 +23,7 @@ from wsnmle.network_model import (
     node_information,
     sample_channels,
 )
-from wsnmle.selfcheck import check_equivalence, check_hadamard, check_partition
+from wsnmle.selfcheck import check_equivalence, check_hadamard, check_optimizer, check_partition
 from wsnmle.topology import build_graph, random_connected_graph
 
 
@@ -102,28 +102,16 @@ def test_criterion_3_variance_formula_validity():
 
 
 def test_criterion_4_optimizer_monotonicity_and_feasibility():
-    rng = np.random.default_rng(1004)
-    cfg = OptimizerConfig()
-    worst_jump = -np.inf
-    for trial in range(200):
-        n = int(rng.integers(2, 13))
-        domain = GainDomain.FIXED_ENERGY if trial % 2 == 0 else GainDomain.UNIMODULAR
-        g, model, a, gm = _scenario(n, 4000 + trial, domain=domain)
-        trace = optimize(gm, cfg, a)
-        etas = np.asarray(trace.etas)
-        if etas.size > 1:
-            worst_jump = max(worst_jump, float(np.max(np.diff(etas))))
-        final = trace.gains.a
-        if domain is GainDomain.FIXED_ENERGY:
-            assert abs(float(np.sum(np.abs(final) ** 2)) - n) <= 1e-9 * n
-        else:
-            assert float(np.max(np.abs(np.abs(final) - 1.0))) <= 1e-12
-    ok = worst_jump <= 1e-10
-    _report(4, ok, (
-        f"200 instances (n<=12), objective never rises by more than {worst_jump:.2e} "
-        "(slack 1e-10) and final gains feasible"
+    # Information never drops by more than 1e-10 across a cycle, final gains
+    # are feasible, the run improves on its start and the diagonal load
+    # keeps the loaded matrix positive semidefinite.
+    detail = check_optimizer(np.random.default_rng(1004), 200, 12)
+    _report(4, detail is None, detail or (
+        "200 instances (n<=12): information never drops by more than 1e-10; "
+        "final gains feasible (energy to 1e-9 n, modulus to 1e-12); "
+        "no loss against the initial gains; diagonal load PSD to 1e-9"
     ))
-    assert ok
+    assert detail is None
 
 
 def test_criterion_5_equivalence_chain():

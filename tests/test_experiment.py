@@ -114,7 +114,7 @@ def test_cli_optimize(tmp_path):
     rc = main(["optimize", "--n", "5", "--seed", "22", "--out-dir", str(tmp_path)])
     assert rc == 0
     header = (tmp_path / "opt_trace.csv").read_text().splitlines()[0]
-    assert header == "outer_iter,eta,variance,inner_iters_used"
+    assert header == "outer_iter,variance,inner_iters_used"
     assert (tmp_path / "gains.csv").exists()
 
 

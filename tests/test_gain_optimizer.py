@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
-from dense import dense_H
+from dense import dense_H, water_filling_information
 
 from wsnmle import gain_optimizer
 from wsnmle.errors import MonotonicityViolation, SingularCovariance, ZeroTransmissionNoise
+from wsnmle.experiment import ExperimentConfig, build_scenario
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
     EPS_ABS,
     MONOTONE_SLACK,
     Arrow,
-    AuxVector,
     OptimizerConfig,
     build_Q,
     build_R,
-    eta0_bound,
     g_value,
     lambda_max_estimate,
     optimize,
     power_iterate,
     project_gains,
-    safe_eta0,
     update_y,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
@@ -55,40 +53,15 @@ def _scenario(n, seed, domain=GainDomain.FIXED_ENERGY, sigma_n=0.1, noisy_self=F
     return model, a, gm
 
 
-# --- offset bound ------------------------------------------------------------
+def _eta0(gm):
+    # An offset above any information: each row carries at most 1/sigma_v^2.
+    return 2.0 * float(np.sum(1.0 / gm.row_sigma_v()))
 
 
-def test_eta0_bound_scalar():
-    gm = _gm_rows([1.0], [1.0], [1.0])
-    assert eta0_bound(gm, 1.0, 1.01) == pytest.approx(1.01)
-
-
-def test_eta0_bound_quadruples_with_channel_scale():
-    gm1 = _gm_rows([1.0, 2.0], [1.0, 1.0], [1.0])
-    gm2 = _gm_rows([2.0, 4.0], [1.0, 1.0], [1.0])
-    assert eta0_bound(gm2, 1.0) == pytest.approx(4.0 * eta0_bound(gm1, 1.0))
-
-
-def test_eta0_requires_transmission_noise():
-    gm = _gm_rows([1.0], [1.0], [1.0])
+def test_optimize_requires_transmission_noise():
+    gm = _gm_rows([1.0], [0.0], [1.0], sigma_n_sq=0.0)
     with pytest.raises(ZeroTransmissionNoise):
-        eta0_bound(gm, 0.0)
-
-
-def test_eta_positive_for_random_feasible_gains():
-    rng = np.random.default_rng(0)
-    for seed in (1, 2, 3):
-        for noisy_self in (True, False):
-            model, a, gm = _scenario(5, 10 * seed, sigma_n=0.3, noisy_self=noisy_self)
-            eta0 = (
-                eta0_bound(gm, gm.sigma_n_sq)
-                if noisy_self
-                else safe_eta0(gm, OptimizerConfig())
-            )
-            for _ in range(300):
-                domain = GainDomain.FIXED_ENERGY if rng.random() < 0.5 else GainDomain.UNIMODULAR
-                ar = GainVector.random(5, domain, rng)
-                assert eta0 - information_total(gm, ar) > 0.0
+        optimize(gm, OptimizerConfig(), GainVector.ones(1, GainDomain.FIXED_ENERGY))
 
 
 # --- bordered matrix ---------------------------------------------------------
@@ -115,7 +88,7 @@ def test_build_R_zero_gains_block_diagonal():
 def test_inverse_entry_identity():
     for seed in range(10):
         model, a, gm = _scenario(4, 30 + seed)
-        eta0 = safe_eta0(gm, OptimizerConfig())
+        eta0 = _eta0(gm)
         rng = np.random.default_rng(seed)
         ar = GainVector.random(4, GainDomain.FIXED_ENERGY, rng)
         R = build_R(gm, ar.a, eta0)
@@ -134,17 +107,17 @@ def test_update_y_scalar_closed_form():
     gm = _gm_rows([1.0], [1.0], [1.0])
     R = build_R(gm, np.array([1.0]), eta0=2.0)
     np.testing.assert_allclose(R, [[2.0, 1.0], [1.0, 2.0]])
-    y = update_y(gm, np.array([1.0]))
-    np.testing.assert_allclose(y.y, [1.0, -0.5], atol=1e-14)
-    assert g_value(y, R) == pytest.approx(1.5)
+    ytilde = update_y(gm, np.array([1.0]))
+    np.testing.assert_allclose(ytilde, [-0.5], atol=1e-14)
+    assert g_value(ytilde, R) == pytest.approx(1.5)
 
 
 def test_update_y_zero_gains_returns_basis_vector():
     model, a, gm = _scenario(3, 40, noisy_self=True)
     R = build_R(gm, np.zeros(3), eta0=4.0)
-    y = update_y(gm, np.zeros(3))
-    np.testing.assert_allclose(y.y, np.eye(gm.m + 1)[0], atol=1e-14)
-    assert g_value(y, R) == pytest.approx(4.0)
+    ytilde = update_y(gm, np.zeros(3))
+    np.testing.assert_allclose(ytilde, np.zeros(gm.m), atol=1e-14)
+    assert g_value(ytilde, R) == pytest.approx(4.0)
 
 
 def test_update_y_residual_and_method_agreement():
@@ -153,30 +126,27 @@ def test_update_y_residual_and_method_agreement():
         model, a, gm = _scenario(5, 50 + seed)
         rng = np.random.default_rng(seed)
         ar = GainVector.random(5, GainDomain.FIXED_ENERGY, rng)
-        R = build_R(gm, ar.a, safe_eta0(gm, OptimizerConfig()))
+        R = build_R(gm, ar.a, _eta0(gm))
         e1 = np.eye(gm.m + 1)[0]
         col = np.linalg.solve(R, e1)
         ys = col / col[0]
-        yc = update_y(gm, ar)
-        assert yc.y[0] == 1.0
+        yc = np.concatenate(([1.0 + 0j], update_y(gm, ar)))
         # all rows but the first must be orthogonal to the result
-        for y in (ys, yc.y):
+        for y in (ys, yc):
             residual = R @ y
             assert float(np.max(np.abs(residual[1:]))) <= 1e-9 * max(1.0, abs(residual[0]))
-        assert float(np.max(np.abs(ys - yc.y))) <= 1e-8
+        assert float(np.max(np.abs(ys - yc))) <= 1e-8
 
 
 def test_update_y_is_the_minimizer():
     model, a, gm = _scenario(4, 60)
     rng = np.random.default_rng(61)
     ar = GainVector.random(4, GainDomain.FIXED_ENERGY, rng)
-    R = build_R(gm, ar.a, safe_eta0(gm, OptimizerConfig()))
-    y_star = update_y(gm, ar)
-    g_star = g_value(y_star, R)
+    R = build_R(gm, ar.a, _eta0(gm))
+    g_star = g_value(update_y(gm, ar), R)
     for _ in range(1000):
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
-        y = AuxVector(np.concatenate(([1.0 + 0j], tail)))
-        assert g_value(y, R) >= g_star - 1e-10 * g_star
+        assert g_value(tail, R) >= g_star - 1e-10 * g_star
 
 
 def test_update_y_singular_covariance():
@@ -189,38 +159,32 @@ def test_update_y_singular_covariance():
         update_y(gm, zeroed)
 
 
-def test_aux_vector_requires_unit_head():
-    with pytest.raises(ValueError):
-        AuxVector(np.array([0.5, 1.0], dtype=complex))
-
-
 # --- quadratic recast ----------------------------------------------------------
 
 
 def test_build_Q_zero_tail():
     model, a, gm = _scenario(3, 70)
-    Q, c1 = build_Q(gm, np.zeros(gm.m), eta0=3.0)
+    Q = build_Q(gm, np.zeros(gm.m))
     assert np.all(Q.top == 0) and np.all(Q.border == 0)
-    assert c1 == pytest.approx(3.0)
 
 
 def test_build_Q_scalar_arrow():
     gm = _gm_rows([1.0], [1.0], [1.0])
     t = 0.4 - 1.1j
-    Q, c1 = build_Q(gm, np.array([t]), eta0=2.0)
+    Q = build_Q(gm, np.array([t]))
     np.testing.assert_allclose(Q.dense(), [[abs(t) ** 2, t], [np.conj(t), 0.0]])
-    assert c1 == pytest.approx(2.0 + abs(t) ** 2)
 
 
 def test_quadratic_recast_matches_bordered_form():
     for seed in range(10):
         model, a, gm = _scenario(5, 80 + seed)
         rng = np.random.default_rng(seed)
-        eta0 = safe_eta0(gm, OptimizerConfig())
+        eta0 = _eta0(gm)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         y = np.concatenate(([1.0 + 0j], tail))
-        Q, c1 = build_Q(gm, tail, eta0)
-        Qd = Q.dense()
+        # the gain-independent part of the form
+        c1 = eta0 + float(np.sum(gm.sigma_rows * np.abs(tail) ** 2))
+        Qd = build_Q(gm, tail).dense()
         for _ in range(10):
             ar = GainVector.random(5, GainDomain.FIXED_ENERGY, rng).a
             R = build_R(gm, ar, eta0)
@@ -313,7 +277,7 @@ def test_power_iterate_monotone_loaded_form():
         model, a, gm = _scenario(5, 300 + seed)
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
-        Q, _ = build_Q(gm, tail, safe_eta0(gm, cfg))
+        Q = build_Q(gm, tail)
         Qd = Q.dense()
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
@@ -335,7 +299,7 @@ def test_diagonal_load_keeps_matrix_psd():
         model, a, gm = _scenario(6, 400 + seed)
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
-        Q, _ = build_Q(gm, tail, safe_eta0(gm, cfg))
+        Q = build_Q(gm, tail)
         lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         assert mineig >= -1e-9
@@ -370,7 +334,7 @@ def _dense_lambda_max(Q, iters=200):
 def _dense_optimize(gm, cfg, a_init):
     # The cyclic algorithm on dense matrices: y from solve(R, e1), a dense
     # (N+1)-square Q, and power steps with the loaded form re-evaluated.
-    eta0 = safe_eta0(gm, cfg)
+    eta0 = _eta0(gm)
     n, domain = gm.n, a_init.domain
     e1 = np.eye(gm.m + 1)[0]
 
@@ -383,12 +347,11 @@ def _dense_optimize(gm, cfg, a_init):
 
     a = a_init.a
     info = information_total(gm, a)
-    etas, variances, used_list = [eta0 - info], [1.0 / info], [0]
-    best_eta, best_a = etas[0], a
-    tail = aux_tail(a)
+    infos, variances, used_list = [info], [1.0 / info], [0]
+    best_info, best_a = info, a
     converged = False
     for _ in range(cfg.max_outer):
-        Q = build_Q(gm, tail, eta0)[0].dense()
+        Q = build_Q(gm, aux_tail(a)).dense()
         lam = cfg.lambda_margin * _dense_lambda_max(Q) + EPS_ABS
         cur = a
         obj = loaded(np.append(cur, 1.0), lam, Q)
@@ -406,18 +369,16 @@ def _dense_optimize(gm, cfg, a_init):
             if step <= cfg.inner_tol:
                 break
         a = cur
-        tail = aux_tail(a)
         info = information_total(gm, a)
-        eta = eta0 - info
-        etas.append(eta)
+        infos.append(info)
         variances.append(1.0 / info)
         used_list.append(used)
-        if eta < best_eta:
-            best_eta, best_a = eta, a
-        if abs(etas[-2] - eta) <= cfg.xi:
+        if info > best_info:
+            best_info, best_a = info, a
+        if abs(info - infos[-2]) <= cfg.xi:
             converged = True
             break
-    return etas, variances, used_list, converged, best_a
+    return variances, used_list, converged, best_a
 
 
 @pytest.mark.parametrize("noisy_self", [False, True], ids=["noiseless-self", "noisy-self"])
@@ -427,13 +388,25 @@ def test_optimize_matches_dense_oracle(n, domain, noisy_self):
     model, a, gm = _scenario(n, 900 + n, domain=domain, noisy_self=noisy_self)
     cfg = OptimizerConfig()
     trace = optimize(gm, cfg, a)
-    etas, variances, used, converged, best = _dense_optimize(gm, cfg, a)
+    variances, used, converged, best = _dense_optimize(gm, cfg, a)
     assert trace.outer_cycles == len(used) - 1
     assert trace.inner_iters_used == used
     assert trace.converged == converged
-    np.testing.assert_allclose(trace.etas, etas, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(trace.variances, variances, rtol=1e-12, atol=0.0)
     assert float(np.max(np.abs(trace.gains.a - best))) <= 1e-12 * float(np.max(np.abs(best)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_optimize_reaches_water_filling_optimum(n):
+    # The default config with fixed energy: the cyclic result against the
+    # exact optimum over per-sender powers.
+    cfg = ExperimentConfig(n=n, master_seed=7, constraint=GainDomain.FIXED_ENERGY)
+    g, model = build_scenario(cfg)
+    a = GainVector.ones(n, GainDomain.FIXED_ENERGY)
+    gm = build_global_model(model, select_retainers(g, node_information(model, a)), a)
+    best = water_filling_information(gm)
+    trace = optimize(gm, cfg.opt, a)
+    assert abs(best - trace.info_final) <= 1e-8 * best
 
 
 def test_optimize_single_unimodular_gain_converges_immediately():
@@ -441,7 +414,8 @@ def test_optimize_single_unimodular_gain_converges_immediately():
     trace = optimize(gm, OptimizerConfig(), a)
     assert trace.converged
     assert trace.outer_cycles == 1
-    assert trace.etas[0] == pytest.approx(trace.etas[1], abs=1e-10)
+    info = 1.0 / np.asarray(trace.variances)
+    assert info[0] == pytest.approx(info[1], abs=1e-10)
 
 
 def test_optimize_improves_on_all_ones():
@@ -450,20 +424,19 @@ def test_optimize_improves_on_all_ones():
             model, a, gm = _scenario(5, 600 + seed, domain=domain)
             trace = optimize(gm, OptimizerConfig(), a)
             assert trace.var_final <= ml_variance(gm, a)
-            etas = np.asarray(trace.etas)
-            assert np.all(np.diff(etas) <= 1e-10)
+            info = 1.0 / np.asarray(trace.variances)
+            assert np.all(np.diff(info) >= -1e-10)
             assert trace.var_final == pytest.approx(1.0 / trace.info_final, rel=1e-12)
 
 
 def test_optimize_eta_phase_invariant():
     model, a, gm = _scenario(4, 700)
-    eta0 = safe_eta0(gm, OptimizerConfig())
     rng = np.random.default_rng(701)
     ar = GainVector.random(4, GainDomain.FIXED_ENERGY, rng)
-    base = eta0 - information_total(gm, ar)
+    base = information_total(gm, ar)
     for phi in (0.1, 2.1, np.pi / 3.0):
         spun = np.exp(1j * phi) * ar.a
-        assert eta0 - information_total(gm, spun) == pytest.approx(base, abs=1e-10)
+        assert information_total(gm, spun) == pytest.approx(base, abs=1e-10)
 
 
 def test_optimize_two_sensor_unimodular_matches_phase_grid():
