@@ -6,7 +6,7 @@ and centralized ML fusion, ADMM average consensus delivering the same
 estimate at every node, and cyclic sensor-gain optimization.
 """
 
-from .consensus import AdmmConfig, ConsensusState, DecentralizedRun, admm_step, decentralized_mle, run_average_consensus
+from .consensus import AdmmConfig, ConsensusState, DecentralizedRun, admm_step, decentralized_mle
 from .fusion import (
     GlobalModel,
     SelectionPlan,

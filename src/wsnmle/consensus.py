@@ -21,18 +21,18 @@ advances three real rows (I, Re P, Im P) with a single neighbour sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged, ZeroInformation
+from .errors import DimensionMismatch, ZeroInformation
 from .topology import Graph
 
 __all__ = [
     "AdmmConfig",
     "ConsensusState",
     "admm_step",
-    "run_average_consensus",
     "decentralized_mle",
     "DecentralizedRun",
 ]
@@ -50,25 +50,24 @@ class AdmmConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
 class ConsensusState:
-    """Per-node local copies and multipliers after ``k`` rounds."""
+    """Per-node local copies and multipliers."""
 
     y: np.ndarray
     lam: np.ndarray
-    k: int = 0
 
     @classmethod
     def zeros(cls, n: int, dtype=complex) -> "ConsensusState":
-        return cls(y=np.zeros(n, dtype=dtype), lam=np.zeros(n, dtype=dtype), k=0)
+        return cls(y=np.zeros(n, dtype=dtype), lam=np.zeros(n, dtype=dtype))
 
 
 def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
@@ -106,31 +105,7 @@ def admm_step(g: Graph, cfg: AdmmConfig, state: ConsensusState, x: np.ndarray) -
     if x.size != g.n or state.y.size != g.n or state.lam.size != g.n:
         raise DimensionMismatch("state and initial values must have one entry per node")
     y, lam = next(_rounds(g, cfg.rho, x, state.y, state.lam))
-    return ConsensusState(y=y, lam=lam, k=state.k + 1)
-
-
-def run_average_consensus(g: Graph, cfg: AdmmConfig, x: np.ndarray) -> np.ndarray:
-    """Iterate to the mean of ``x``; return the full trajectory.
-
-    Row ``k`` of the result holds the local copies after ``k`` rounds
-    (row 0 is the zero initialization).  Stops once
-    ``max_i |y_i - mean(x)| <= tol``; raises :class:`NotConverged` with
-    the final disagreement if the cap is hit first.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.size != g.n:
-        raise DimensionMismatch(f"{x.size} initial values for {g.n} nodes")
-    target = np.mean(x)
-    traj = [np.zeros(g.n, dtype=complex)]
-    for _, (y, _lam) in zip(range(cfg.max_iter), _rounds(g, cfg.rho, x, traj[0], traj[0])):
-        traj.append(y)
-        disagreement = float(np.max(np.abs(y - target)))
-        if disagreement <= cfg.tol:
-            return np.array(traj)
-    raise NotConverged(
-        f"disagreement {disagreement:.3e} > tol {cfg.tol:.3e} after {cfg.max_iter} rounds",
-        disagreement,
-    )
+    return ConsensusState(y=y, lam=lam)
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,3 @@ class ZeroTransmissionNoise(ModelError):
 
 class MonotonicityViolation(WsnMleError):
     """An iteration that must not worsen its objective did (beyond slack)."""
-
-
-class NotConverged(WsnMleError):
-    """Iteration cap reached before the tolerance was met.
-
-    Carries the final disagreement in :attr:`disagreement`.
-    """
-
-    def __init__(self, message: str, disagreement: float):
-        super().__init__(message)
-        self.disagreement = disagreement

@@ -65,25 +65,21 @@ _SECULAR_STEPS = 100
 
 EPS_ABS = 1e-9          # additive floor on the diagonal load
 MONOTONE_SLACK = 1e-10  # tolerance on the monotonicity checks
+LAMBDA_MARGIN = 1.05    # diagonal load as a multiple of lambda_max(Q)
+INNER_ITERS = 500       # power steps per outer cycle, at most
+INNER_TOL = 1e-10       # inner stop: largest gain move per power step
+MAX_OUTER = 200         # outer cycles, at most
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the cyclic optimizer."""
+    """The outer stop: a cycle that moves the information by at most ``xi``."""
 
-    lambda_margin: float = 1.05
     xi: float = 1e-8
-    inner_iters: int = 500
-    inner_tol: float = 1e-10
-    max_outer: int = 200
 
     def __post_init__(self):
-        if self.lambda_margin < 1.0:
-            raise ValueError("lambda_margin must be at least 1")
-        if min(self.xi, self.inner_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if min(self.inner_iters, self.max_outer) < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
 
 
 @dataclass
@@ -260,11 +256,12 @@ def project_gains(ahat: np.ndarray, domain: GainDomain):
     return np.sqrt(ahat.size) * ahat / norm
 
 
-def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
+def power_iterate(a: GainVector, Q: Arrow):
     """Maximize the loaded quadratic form over the gain domain.
 
     Repeats ``a <- project(first N components of (lambda I - Q) (a, 1))``
-    until the gains stop moving or the cap is hit.  Those components are
+    until no gain moves by more than :data:`INNER_TOL` in a step, or for
+    :data:`INNER_ITERS` steps.  Those components are
     ``v = (lambda - top) a - border``, and the loaded form at the same
     gains is ``(a,1)^H (lambda I - Q) (a,1) = Re<a, v - border> + lambda``,
     so each step costs one O(N) product.  The loaded form never decreases
@@ -274,13 +271,13 @@ def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
     """
     if Q.top.shape != (a.n,) or Q.border.shape != (a.n,):
         raise DimensionMismatch(f"arrow of size {Q.top.size + 1} for {a.n} gains")
-    lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
+    lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
     load = lam - Q.top
     cur = a.a.copy()
     v = load * cur - Q.border
     obj = float(np.real(np.vdot(cur, v - Q.border))) + lam
     used = 0
-    for t in range(cfg.inner_iters):
+    for t in range(INNER_ITERS):
         new = project_gains(v, a.domain)
         used = t + 1
         if new is None:
@@ -292,7 +289,7 @@ def power_iterate(a: GainVector, Q: Arrow, cfg: OptimizerConfig):
         step = float(np.max(np.abs(new - cur)))
         cur = new
         obj = obj_new
-        if step <= cfg.inner_tol:
+        if step <= INNER_TOL:
             break
     return GainVector(cur, a.domain), used
 
@@ -303,7 +300,7 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
     The auxiliary vector is initialized at its optimum for the initial
     gains, so the recorded information starts at the initial gains' value
     and never decreases.  The run stops once one outer cycle changes the
-    information by at most ``cfg.xi``, or after ``cfg.max_outer`` cycles.
+    information by at most ``cfg.xi``, or after :data:`MAX_OUTER` cycles.
     The selection plan baked into ``gm`` stays fixed for the whole run;
     re-selecting rows is a between-runs operation (see the experiment
     driver).  Raises :class:`ZeroTransmissionNoise` unless
@@ -326,8 +323,8 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
 
     a = best_a = a_init
     info_prev = best_info = record(a, 0)
-    for _ in range(cfg.max_outer):
-        a, used = power_iterate(a, build_Q(gm, update_y(gm, a)), cfg)
+    for _ in range(MAX_OUTER):
+        a, used = power_iterate(a, build_Q(gm, update_y(gm, a)))
         info = record(a, used)
         if info < info_prev - MONOTONE_SLACK:
             raise MonotonicityViolation(f"information decreased across outer cycle: {info_prev} -> {info}")

@@ -6,9 +6,8 @@ from wsnmle.consensus import (
     ConsensusState,
     admm_step,
     decentralized_mle,
-    run_average_consensus,
 )
-from wsnmle.errors import Disconnected, NotConverged, ZeroInformation
+from wsnmle.errors import Disconnected, ZeroInformation
 from wsnmle.fusion import (
     build_global_model,
     decompose_information,
@@ -86,11 +85,18 @@ def test_config_validation():
         AdmmConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["rho", "tol"])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        AdmmConfig(**{name: value})
+
+
 def test_constant_input_is_fixed_point():
     g = _path3()
     c = 0.75 + 0.5j
     x = np.full(3, c)
-    state = ConsensusState(y=np.full(3, c), lam=np.zeros(3, dtype=complex), k=0)
+    state = ConsensusState(y=np.full(3, c), lam=np.zeros(3, dtype=complex))
     nxt = admm_step(g, AdmmConfig(rho=0.5), state, x)
     assert np.max(np.abs(nxt.y - c)) <= 1e-14
     assert np.max(np.abs(nxt.lam)) <= 1e-14
@@ -130,14 +136,15 @@ def test_single_node_is_immediate():
     x = np.array([4.0 - 2.0j])
     state = admm_step(g, AdmmConfig(rho=0.5), ConsensusState.zeros(1), x)
     assert state.y[0] == x[0]  # y+ = x - lambda with zero state
-    traj = run_average_consensus(g, AdmmConfig(rho=0.5, tol=1e-12), x)
-    assert traj.shape[0] == 2  # converged after the first round
+    run = decentralized_mle(g, AdmmConfig(rho=0.5, tol=1e-12), np.ones(1), x)
+    assert (run.iterations, run.converged) == (1, True)
 
 
 def test_path_converges_to_mean():
     g = _path3()
-    traj = run_average_consensus(g, AdmmConfig(rho=0.5, tol=1e-9), np.array([0.0, 3.0, 6.0]))
-    np.testing.assert_allclose(traj[-1], 3.0, atol=1e-8)
+    run = decentralized_mle(g, AdmmConfig(rho=0.5, tol=1e-9), np.ones(3), np.array([0.0, 3.0, 6.0]))
+    assert run.converged
+    np.testing.assert_allclose(run.P[-1], 3.0, atol=1e-8)
 
 
 def test_random_graphs_converge_for_rho_range():
@@ -147,8 +154,14 @@ def test_random_graphs_converge_for_rho_range():
         g = random_connected_graph(n, "gnp", p=0.5, seed=trial)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rho = float(rng.uniform(0.1, 2.0))
-        traj = run_average_consensus(g, AdmmConfig(rho=rho, max_iter=10_000, tol=1e-8), x)
-        assert np.max(np.abs(traj[-1] - np.mean(x))) <= 1e-8
+        cfg = AdmmConfig(rho=rho, max_iter=10_000, tol=1e-8)
+        state = ConsensusState.zeros(n)
+        for _ in range(cfg.max_iter):
+            state = admm_step(g, cfg, state, x)
+            dev = np.max(np.abs(state.y - np.mean(x)))
+            if dev <= cfg.tol:
+                break
+        assert dev <= 1e-8
 
 
 def test_linearity_of_trajectories():
@@ -174,7 +187,7 @@ def test_analytic_fixed_point_is_stationary():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     xbar = np.mean(x)
-    state = ConsensusState(y=np.full(8, xbar), lam=x - xbar, k=0)
+    state = ConsensusState(y=np.full(8, xbar), lam=x - xbar)
     nxt = admm_step(g, AdmmConfig(rho=0.9), state, x)
     assert np.max(np.abs(nxt.y - state.y)) <= 1e-12
     assert np.max(np.abs(nxt.lam - state.lam)) <= 1e-12
@@ -186,13 +199,6 @@ def test_isolated_node_rejected(edge):
     with pytest.raises(Disconnected):
         g = Graph(n=3, edges=(edge,))
         admm_step(g, AdmmConfig(), ConsensusState.zeros(3), np.ones(3))
-
-
-def test_not_converged_carries_disagreement():
-    g = _path3()
-    with pytest.raises(NotConverged) as err:
-        run_average_consensus(g, AdmmConfig(rho=0.5, max_iter=2, tol=1e-12), np.array([0.0, 3.0, 6.0]))
-    assert err.value.disagreement > 0.0
 
 
 # --- decentralized estimation -------------------------------------------------
@@ -238,6 +244,16 @@ def test_sixteen_node_network_reaches_global_estimate():
     central = ml_estimate(y, gm, a)
     assert run.converged
     assert np.max(np.abs(run.theta_final - central)) < 1e-4
+
+
+def test_decentralized_mle_reports_iteration_cap():
+    g = _path3()
+    cfg = AdmmConfig(rho=0.5, max_iter=2, tol=1e-12)
+    run = decentralized_mle(g, cfg, np.ones(3), np.array([0.0, 3.0, 6.0]))
+    assert not run.converged
+    assert run.iterations == 2
+    assert run.I.shape == (3, 3)
+    assert run.disagreement > cfg.tol
 
 
 def test_zero_information_rejected():

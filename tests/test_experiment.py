@@ -34,6 +34,13 @@ def test_config_validation():
         ExperimentConfig(trials=0)
 
 
+@pytest.mark.parametrize("key", ["lambda_margin", "inner_iters", "inner_tol", "max_outer"])
+def test_config_rejects_optimizer_constants(key):
+    # These are module constants of gain_optimizer, not settings.
+    with pytest.raises(TypeError):
+        ExperimentConfig.from_dict({"opt": {"xi": 1e-8, key: 1}})
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "topology", 4, 0) == derive_seed(1, "topology", 4, 0)
     assert derive_seed(1, "topology", 4, 0) != derive_seed(1, "topology", 4, 1)
@@ -118,6 +125,15 @@ def test_cli_optimize(tmp_path):
     assert (tmp_path / "gains.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [("optimize", "--xi"), ("consensus", "--rho")])
+def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        main([command, "--n", "8", "--seed", "7", flag, value, "--out-dir", str(out)])
+    assert not out.exists()  # rejected before any output or solver run
+
+
 def test_cli_consensus_and_sweep(tmp_path):
     assert main(["consensus", "--n", "5", "--seed", "23", "--out-dir", str(tmp_path / "c")]) == 0
     assert main([
@@ -161,7 +177,7 @@ def test_selfcheck_catches_sign_error_in_multiplier_update():
         with np.errstate(all="ignore"):  # the broken update diverges
             y = (rho * d * state.y + rho * (A @ state.y) - state.lam + x) / (1.0 + 2.0 * rho * d)
             lam = state.lam - rho * (d * y - A @ y)  # sign flipped
-        return ConsensusState(y=y, lam=lam, k=state.k + 1)
+        return ConsensusState(y=y, lam=lam)
 
     results = run_all(seed=0, cases=5, overrides={"consensus": {"step_fn": broken_step}})
     by_name = {r.name: r for r in results}

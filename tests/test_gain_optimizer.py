@@ -8,6 +8,10 @@ from wsnmle.experiment import ExperimentConfig, build_scenario
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
     EPS_ABS,
+    INNER_ITERS,
+    INNER_TOL,
+    LAMBDA_MARGIN,
+    MAX_OUTER,
     MONOTONE_SLACK,
     Arrow,
     OptimizerConfig,
@@ -56,6 +60,12 @@ def _scenario(n, seed, domain=GainDomain.FIXED_ENERGY, sigma_n=0.1, noisy_self=F
 def _eta0(gm):
     # An offset above any information: each row carries at most 1/sigma_v^2.
     return 2.0 * float(np.sum(1.0 / gm.row_sigma_v()))
+
+
+@pytest.mark.parametrize("xi", [np.nan, np.inf], ids=["nan", "inf"])
+def test_optimizer_config_rejects_non_finite(xi):
+    with pytest.raises(ValueError, match="xi must be positive and finite"):
+        OptimizerConfig(xi=xi)
 
 
 def test_optimize_requires_transmission_noise():
@@ -272,7 +282,6 @@ def test_lambda_max_estimate_edge_cases(top, border):
 
 
 def test_power_iterate_monotone_loaded_form():
-    cfg = OptimizerConfig()
     for seed in range(5):
         model, a, gm = _scenario(5, 300 + seed)
         rng = np.random.default_rng(seed)
@@ -281,10 +290,10 @@ def test_power_iterate_monotone_loaded_form():
         Qd = Q.dense()
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
-            lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
+            lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
             w0 = np.append(start.a, 1.0)
             before = float(np.real(np.conj(w0) @ (lam * w0 - Qd @ w0)))
-            out, used = power_iterate(start, Q, cfg)
+            out, used = power_iterate(start, Q)
             w1 = np.append(out.a, 1.0)
             after = float(np.real(np.conj(w1) @ (lam * w1 - Qd @ w1)))
             assert after >= before - 1e-10 * max(1.0, abs(before))
@@ -294,13 +303,12 @@ def test_power_iterate_monotone_loaded_form():
 
 
 def test_diagonal_load_keeps_matrix_psd():
-    cfg = OptimizerConfig()
     for seed in range(10):
         model, a, gm = _scenario(6, 400 + seed)
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q = build_Q(gm, tail)
-        lam = cfg.lambda_margin * lambda_max_estimate(Q) + EPS_ABS
+        lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
         assert mineig >= -1e-9
 
@@ -312,6 +320,22 @@ def test_underestimated_load_raises_monotonicity_violation(monkeypatch):
     monkeypatch.setattr(gain_optimizer, "lambda_max_estimate", lambda Q, iters=200: 0.0)
     model, a, gm = _scenario(6, 300)
     with pytest.raises(MonotonicityViolation, match="loaded quadratic form decreased"):
+        optimize(gm, OptimizerConfig(), a)
+
+
+def test_information_drop_across_cycle_raises_monotonicity_violation(monkeypatch):
+    # A cycle that returns feasible gains carrying less information than
+    # the all-ones start.  Every sensor keeps some power: with all of it on
+    # one sensor the noiseless self rows of the others raise
+    # SingularCovariance instead.
+    def worse_gains(a, Q):
+        gains = np.full(a.n, 0.1, dtype=complex)
+        gains[0] = np.sqrt(a.n - 0.01 * (a.n - 1))
+        return GainVector(gains, a.domain), 1
+
+    monkeypatch.setattr(gain_optimizer, "power_iterate", worse_gains)
+    model, a, gm = _scenario(6, 300)
+    with pytest.raises(MonotonicityViolation, match="information decreased across outer cycle"):
         optimize(gm, OptimizerConfig(), a)
 
 
@@ -350,13 +374,13 @@ def _dense_optimize(gm, cfg, a_init):
     infos, variances, used_list = [info], [1.0 / info], [0]
     best_info, best_a = info, a
     converged = False
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         Q = build_Q(gm, aux_tail(a)).dense()
-        lam = cfg.lambda_margin * _dense_lambda_max(Q) + EPS_ABS
+        lam = LAMBDA_MARGIN * _dense_lambda_max(Q) + EPS_ABS
         cur = a
         obj = loaded(np.append(cur, 1.0), lam, Q)
         used = 0
-        for t in range(cfg.inner_iters):
+        for t in range(INNER_ITERS):
             w = np.append(cur, 1.0)
             new = project_gains((lam * w - Q @ w)[:n], domain)
             used = t + 1
@@ -366,7 +390,7 @@ def _dense_optimize(gm, cfg, a_init):
             assert obj_new >= obj - MONOTONE_SLACK * max(1.0, abs(obj))
             step = float(np.max(np.abs(new - cur)))
             cur, obj = new, obj_new
-            if step <= cfg.inner_tol:
+            if step <= INNER_TOL:
                 break
         a = cur
         info = information_total(gm, a)
