@@ -6,7 +6,7 @@ and centralized ML fusion, ADMM average consensus delivering the same
 estimate at every node, and cyclic sensor-gain optimization.
 """
 
-from .consensus import AdmmConfig, ConsensusState, DecentralizedRun, admm_step, decentralized_mle
+from .consensus import AdmmConfig, DecentralizedRun, admm_rounds, decentralized_mle
 from .fusion import (
     GlobalModel,
     SelectionPlan,
@@ -37,6 +37,6 @@ from .network_model import (
     sample_channels,
     save_network,
 )
-from .topology import Graph, Links, build_graph, degree, load_graph, random_connected_graph, save_graph
+from .topology import Graph, Links, build_graph, load_graph, random_connected_graph, save_graph
 
 __version__ = "0.1.0"

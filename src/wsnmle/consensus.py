@@ -2,7 +2,7 @@
 
 Every node holds a local copy ``y_i`` of the network average and a
 multiplier ``lambda_i``.  One synchronous round updates, with ``d_i`` the
-external degree and ``x_i`` the node's initial value,
+number of neighbours and ``x_i`` the node's initial value,
 
     y_i  <-  (rho d_i y_i + rho sum_nbrs y_j - lambda_i + x_i) / (1 + 2 rho d_i)
     lambda_i  <-  lambda_i + rho (d_i y_i_new - sum_nbrs y_j_new)
@@ -31,8 +31,7 @@ from .topology import Graph
 
 __all__ = [
     "AdmmConfig",
-    "ConsensusState",
-    "admm_step",
+    "admm_rounds",
     "decentralized_mle",
     "DecentralizedRun",
 ]
@@ -58,28 +57,19 @@ class AdmmConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-@dataclass(frozen=True)
-class ConsensusState:
-    """Per-node local copies and multipliers."""
-
-    y: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, dtype=complex) -> "ConsensusState":
-        return cls(y=np.zeros(n, dtype=dtype), lam=np.zeros(n, dtype=dtype))
-
-
-def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
+def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
     """Consensus rounds from ``(y, lam)``; yields ``(y, lam)`` after each.
 
     ``x``, ``y`` and ``lam`` hold one entry per node along the last axis,
-    so a (k, n) array runs k independent streams in lockstep.  Neighbour
-    sums gather over the graph's link table without its self links (the
-    concatenated neighbour lists): O(|E|) work and memory per round.  The
-    multiplier update's sum over the new iterates is kept for the next
-    round's y-update, so a round costs one sum.
+    so a (k, n) array runs k independent streams in lockstep; any other
+    length raises :class:`DimensionMismatch` on the first ``next``.
+    Neighbour sums gather over the graph's link table without its self
+    links (the concatenated neighbour lists): O(|E|) work and memory per
+    round.  The multiplier update's sum over the new iterates is kept for
+    the next round's y-update, so a round costs one sum.
     """
+    if any(np.shape(v)[-1:] != (g.n,) for v in (x, y, lam)):
+        raise DimensionMismatch(f"x, y and lam must have one entry per node ({g.n}) on the last axis")
     links = g.links
     send = np.delete(links.sender, links.own)
     starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
@@ -99,33 +89,34 @@ def _rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray)
         yield y, lam
 
 
-def admm_step(g: Graph, cfg: AdmmConfig, state: ConsensusState, x: np.ndarray) -> ConsensusState:
-    """One synchronous consensus round."""
-    x = np.asarray(x)
-    if x.size != g.n or state.y.size != g.n or state.lam.size != g.n:
-        raise DimensionMismatch("state and initial values must have one entry per node")
-    y, lam = next(_rounds(g, cfg.rho, x, state.y, state.lam))
-    return ConsensusState(y=y, lam=lam)
-
-
 @dataclass(frozen=True)
 class DecentralizedRun:
     """Trajectories of the two consensus streams and the local estimates.
 
-    ``theta[k, i]`` is node i's estimate after k rounds; entries are NaN
+    Only the two streams are stored.  ``theta[k, i]``, node i's estimate
+    after k rounds, is computed from them on each access; entries are NaN
     while the node's information copy is below the guard threshold.
     """
 
     I: np.ndarray        # (k+1, n) real
     P: np.ndarray        # (k+1, n) complex
-    theta: np.ndarray    # (k+1, n) complex, NaN where guarded
     converged: bool
     iterations: int
     disagreement: float  # final scaled disagreement, max over the two streams
 
     @property
+    def theta(self) -> np.ndarray:
+        """(k+1, n) complex estimates, NaN where guarded."""
+        return _guarded_ratio(self.I, self.P)
+
+    @property
     def theta_final(self) -> np.ndarray:
-        return self.theta[-1]
+        return _guarded_ratio(self.I[-1], self.P[-1])
+
+
+def _guarded_ratio(I: np.ndarray, P: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(I) < EPS_GUARD, np.nan + 1j * np.nan, P / I)
 
 
 def decentralized_mle(
@@ -143,6 +134,8 @@ def decentralized_mle(
     P0 = np.asarray(P0, dtype=complex)
     if I0.size != g.n or P0.size != g.n:
         raise DimensionMismatch(f"streams must have one entry per node ({g.n})")
+    if not (np.all(np.isfinite(I0)) and np.all(np.isfinite(P0))):
+        raise ValueError("initial information and projections must be finite")
     if float(np.sum(I0)) <= 0.0:
         raise ZeroInformation("total initial information must be positive")
     mean_I = float(np.mean(I0))
@@ -153,7 +146,7 @@ def decentralized_mle(
     streams = np.stack((I0, P0.real, P0.imag))
     traj_I = [np.zeros(g.n)]
     traj_P = [np.zeros(g.n, dtype=complex)]
-    rounds = _rounds(g, cfg.rho, streams, np.zeros_like(streams), np.zeros_like(streams))
+    rounds = admm_rounds(g, cfg.rho, streams, np.zeros_like(streams), np.zeros_like(streams))
     for _, (y, _lam) in zip(range(cfg.max_iter), rounds):
         traj_I.append(y[0].copy())
         traj_P.append(y[1] + 1j * y[2])
@@ -162,14 +155,9 @@ def decentralized_mle(
         disagreement = max(dev_I, dev_P)
         if disagreement <= cfg.tol:
             break
-    I = np.array(traj_I)
-    P = np.array(traj_P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(np.abs(I) < EPS_GUARD, np.nan + 1j * np.nan, P / I)
     return DecentralizedRun(
-        I=I,
-        P=P,
-        theta=theta,
+        I=np.array(traj_I),
+        P=np.array(traj_P),
         converged=disagreement <= cfg.tol,
         iterations=len(traj_I) - 1,
         disagreement=disagreement,

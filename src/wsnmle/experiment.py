@@ -174,12 +174,13 @@ def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex)
     left empty.
     """
     iters, n = run.I.shape
+    theta = run.theta
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iter", "node", "I_re", "P_re", "P_im", "theta_hat_re", "theta_hat_im", "disagreement"])
         for k in range(iters):
             for i in range(n):
-                th = run.theta[k, i]
+                th = theta[k, i]
                 if np.isnan(th.real):
                     tail = ["", "", ""]
                 else:
@@ -214,9 +215,9 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
     reference estimate, its variance, final disagreement) and returns the
     summary.
     """
+    g, model = build_scenario(cfg)  # rejects a bad model before any output exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    g, model = build_scenario(cfg)
     a0 = GainVector.ones(g.n, cfg.constraint)
     if cfg.sigma_n_sq > 0.0:
         _, gm, trace = optimize_with_reselection(model, cfg.opt, a0, rounds=1)

@@ -120,12 +120,14 @@ class NetworkModel:
             sv = np.full(g.n, float(sv[0]))
         if sv.size != g.n:
             raise DimensionMismatch(f"sigma_v_sq has {sv.size} entries for {g.n} nodes")
-        if np.any(sv <= 0.0):
-            raise ValueError("all observation-noise variances must be positive")
+        if not np.all((sv > 0.0) & (sv < np.inf)):
+            raise ValueError("all observation-noise variances must be positive and finite")
         object.__setattr__(self, "sigma_v_sq", sv)
-        if self.sigma_n_sq < 0.0:
-            raise ValueError("transmission-noise variance must be nonnegative")
+        if not 0.0 <= self.sigma_n_sq < np.inf:
+            raise ValueError("transmission-noise variance must be nonnegative and finite")
         object.__setattr__(self, "theta", complex(self.theta))
+        if not np.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         h = np.asarray(self.h, dtype=complex)
         links = g.links
         if h.shape != links.sender.shape:
@@ -169,8 +171,8 @@ def sample_channels(
     """
     if dist not in ("complex_gaussian", "unit"):
         raise ValueError(f"unknown channel distribution {dist!r}")
-    if dist == "complex_gaussian" and sigma_h <= 0:
-        raise ValueError(f"sigma_h must be positive, got {sigma_h}")
+    if dist == "complex_gaussian" and not 0 < sigma_h < np.inf:
+        raise ValueError(f"sigma_h must be positive and finite, got {sigma_h}")
     links = graph.links
     h = np.ones(links.sender.size, dtype=complex)
     if dist == "unit":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import AdmmConfig, ConsensusState, admm_step
+from .consensus import admm_rounds
 from .errors import WsnMleError
 from .fusion import (
     build_global_model,
@@ -130,7 +130,7 @@ def check_partition(rng, cases, n_max):
     return None
 
 
-def check_consensus(rng, cases, n_max, step_fn=admm_step):
+def check_consensus(rng, cases, n_max, rounds_fn=admm_rounds):
     """Convergence to the mean and stationarity of the consensus round.
 
     Each case draws a G(n, 0.5) graph with 2 <= n <= ``n_max`` and complex
@@ -144,16 +144,14 @@ def check_consensus(rng, cases, n_max, step_fn=admm_step):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         target = np.mean(x)
         for rho in (0.1, 0.5, 2.0):
-            cfg = AdmmConfig(rho=rho, max_iter=5000, tol=1e-9)
-            state = ConsensusState.zeros(n)
-            for _ in range(cfg.max_iter):
-                state = step_fn(g, cfg, state, x)
-                if float(np.max(np.abs(state.y - target))) <= cfg.tol:
+            rounds = rounds_fn(g, rho, x, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+            for _, (y, _lam) in zip(range(5000), rounds):
+                if float(np.max(np.abs(y - target))) <= 1e-9:
                     break
             else:
                 return f"consensus did not reach the mean (n={n}, rho={rho})"
-            nxt = step_fn(g, cfg, state, x)
-            if float(np.max(np.abs(nxt.y - state.y))) > 1e-6:
+            y_next, _ = next(rounds)
+            if float(np.max(np.abs(y_next - y))) > 1e-6:
                 return f"converged state is not nearly stationary (n={n}, rho={rho})"
     return None
 

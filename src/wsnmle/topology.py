@@ -37,7 +37,6 @@ __all__ = [
     "Graph",
     "Links",
     "build_graph",
-    "degree",
     "random_connected_graph",
     "graph_to_json",
     "graph_from_json",
@@ -216,11 +215,6 @@ def build_graph(n: int, edge_list) -> Graph:
     pairs = np.sort(_pair_array(edge_list, MalformedGraph), axis=1)
     order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # any order will do for ids that Graph rejects
     return Graph(n=n, edges=pairs[order])
-
-
-def degree(g: Graph, i: int) -> int:
-    """Number of distinct neighbors of node ``i``, excluding ``i`` itself."""
-    return len(g.neighbors(i))
 
 
 def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator) -> np.ndarray:

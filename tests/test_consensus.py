@@ -3,11 +3,10 @@ import pytest
 
 from wsnmle.consensus import (
     AdmmConfig,
-    ConsensusState,
-    admm_step,
+    admm_rounds,
     decentralized_mle,
 )
-from wsnmle.errors import Disconnected, ZeroInformation
+from wsnmle.errors import DimensionMismatch, Disconnected, ZeroInformation
 from wsnmle.fusion import (
     build_global_model,
     decompose_information,
@@ -21,6 +20,10 @@ from wsnmle.topology import Graph, build_graph, random_connected_graph
 
 def _path3():
     return build_graph(3, [(0, 1), (1, 2)])
+
+
+def _zeros(n):
+    return np.zeros(n, dtype=complex)
 
 
 def _neighbour_lists(g):
@@ -96,46 +99,39 @@ def test_constant_input_is_fixed_point():
     g = _path3()
     c = 0.75 + 0.5j
     x = np.full(3, c)
-    state = ConsensusState(y=np.full(3, c), lam=np.zeros(3, dtype=complex))
-    nxt = admm_step(g, AdmmConfig(rho=0.5), state, x)
-    assert np.max(np.abs(nxt.y - c)) <= 1e-14
-    assert np.max(np.abs(nxt.lam)) <= 1e-14
+    y, lam = next(admm_rounds(g, 0.5, x, np.full(3, c), _zeros(3)))
+    assert np.max(np.abs(y - c)) <= 1e-14
+    assert np.max(np.abs(lam)) <= 1e-14
 
 
 def test_first_iterate_against_straight_line_oracle():
     g = _path3()
     x = np.array([0.0, 3.0, 6.0], dtype=complex)
-    cfg = AdmmConfig(rho=0.5)
-    state = ConsensusState.zeros(3)
-    nxt = admm_step(g, cfg, state, x)
-    y_ref, lam_ref = _oracle_step(g, 0.5, state.y, state.lam, x)
-    np.testing.assert_allclose(nxt.y, y_ref, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(nxt.lam, lam_ref, rtol=0, atol=1e-15)
+    y, lam = next(admm_rounds(g, 0.5, x, _zeros(3), _zeros(3)))
+    y_ref, lam_ref = _oracle_step(g, 0.5, _zeros(3), _zeros(3), x)
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-15)
     # frozen values computed from the update formulas by hand
-    np.testing.assert_allclose(nxt.y, [0.0, 1.0, 3.0], atol=1e-15)
-    np.testing.assert_allclose(nxt.lam, [-0.5, -0.5, 1.0], atol=1e-15)
+    np.testing.assert_allclose(y, [0.0, 1.0, 3.0], atol=1e-15)
+    np.testing.assert_allclose(lam, [-0.5, -0.5, 1.0], atol=1e-15)
 
 
 def test_multi_step_against_oracle():
     g = random_connected_graph(7, "gnp", p=0.5, seed=1)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    cfg = AdmmConfig(rho=0.8)
-    state = ConsensusState.zeros(7)
-    y_ref = state.y
-    lam_ref = state.lam
-    for _ in range(5):
-        state = admm_step(g, cfg, state, x)
+    y_ref = lam_ref = _zeros(7)
+    for _, (y, lam) in zip(range(5), admm_rounds(g, 0.8, x, _zeros(7), _zeros(7))):
         y_ref, lam_ref = _oracle_step(g, 0.8, y_ref, lam_ref, x)
-    np.testing.assert_allclose(state.y, y_ref, atol=1e-13)
-    np.testing.assert_allclose(state.lam, lam_ref, atol=1e-13)
+    np.testing.assert_allclose(y, y_ref, atol=1e-13)
+    np.testing.assert_allclose(lam, lam_ref, atol=1e-13)
 
 
 def test_single_node_is_immediate():
     g = build_graph(1, [])
     x = np.array([4.0 - 2.0j])
-    state = admm_step(g, AdmmConfig(rho=0.5), ConsensusState.zeros(1), x)
-    assert state.y[0] == x[0]  # y+ = x - lambda with zero state
+    y, _ = next(admm_rounds(g, 0.5, x, _zeros(1), _zeros(1)))
+    assert y[0] == x[0]  # y+ = x - lambda with zero state
     run = decentralized_mle(g, AdmmConfig(rho=0.5, tol=1e-12), np.ones(1), x)
     assert (run.iterations, run.converged) == (1, True)
 
@@ -154,12 +150,9 @@ def test_random_graphs_converge_for_rho_range():
         g = random_connected_graph(n, "gnp", p=0.5, seed=trial)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rho = float(rng.uniform(0.1, 2.0))
-        cfg = AdmmConfig(rho=rho, max_iter=10_000, tol=1e-8)
-        state = ConsensusState.zeros(n)
-        for _ in range(cfg.max_iter):
-            state = admm_step(g, cfg, state, x)
-            dev = np.max(np.abs(state.y - np.mean(x)))
-            if dev <= cfg.tol:
+        for _, (y, _lam) in zip(range(10_000), admm_rounds(g, rho, x, _zeros(n), _zeros(n))):
+            dev = np.max(np.abs(y - np.mean(x)))
+            if dev <= 1e-8:
                 break
         assert dev <= 1e-8
 
@@ -170,16 +163,10 @@ def test_linearity_of_trajectories():
     x1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     alpha, beta = 2.0, -0.5
-    cfg = AdmmConfig(rho=0.7)
-    # compare iterate-by-iterate with manual stepping
-    s1 = ConsensusState.zeros(6)
-    s2 = ConsensusState.zeros(6)
-    s12 = ConsensusState.zeros(6)
-    for _ in range(30):
-        s1 = admm_step(g, cfg, s1, x1)
-        s2 = admm_step(g, cfg, s2, x2)
-        s12 = admm_step(g, cfg, s12, alpha * x1 + beta * x2)
-        np.testing.assert_allclose(s12.y, alpha * s1.y + beta * s2.y, atol=1e-13)
+    # compare iterate-by-iterate across three separate runs
+    runs = [admm_rounds(g, 0.7, x, _zeros(6), _zeros(6)) for x in (x1, x2, alpha * x1 + beta * x2)]
+    for _, ((y1, _), (y2, _), (y12, _)) in zip(range(30), zip(*runs)):
+        np.testing.assert_allclose(y12, alpha * y1 + beta * y2, atol=1e-13)
 
 
 def test_analytic_fixed_point_is_stationary():
@@ -187,10 +174,10 @@ def test_analytic_fixed_point_is_stationary():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     xbar = np.mean(x)
-    state = ConsensusState(y=np.full(8, xbar), lam=x - xbar)
-    nxt = admm_step(g, AdmmConfig(rho=0.9), state, x)
-    assert np.max(np.abs(nxt.y - state.y)) <= 1e-12
-    assert np.max(np.abs(nxt.lam - state.lam)) <= 1e-12
+    y0, lam0 = np.full(8, xbar), x - xbar
+    y, lam = next(admm_rounds(g, 0.9, x, y0, lam0))
+    assert np.max(np.abs(y - y0)) <= 1e-12
+    assert np.max(np.abs(lam - lam0)) <= 1e-12
 
 
 @pytest.mark.parametrize("edge", [(0, 2), (0, 1)], ids=["middle", "last"])
@@ -198,7 +185,17 @@ def test_isolated_node_rejected(edge):
     # Graph checks connectivity itself, so no consensus round can start.
     with pytest.raises(Disconnected):
         g = Graph(n=3, edges=(edge,))
-        admm_step(g, AdmmConfig(), ConsensusState.zeros(3), np.ones(3))
+        next(admm_rounds(g, 0.5, np.ones(3), _zeros(3), _zeros(3)))
+
+
+@pytest.mark.parametrize("arg", ["x", "y", "lam"])
+def test_admm_rounds_rejects_wrong_length(arg):
+    g = _path3()
+    vectors = {"x": np.ones(3), "y": _zeros(3), "lam": _zeros(3)}
+    vectors[arg] = _zeros(4)
+    rounds = admm_rounds(g, 0.5, **vectors)
+    with pytest.raises(DimensionMismatch):
+        next(rounds)
 
 
 # --- decentralized estimation -------------------------------------------------
@@ -262,6 +259,15 @@ def test_zero_information_rejected():
         decentralized_mle(g, AdmmConfig(), np.zeros(3), np.zeros(3, dtype=complex))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("stream", ["I0", "P0"])
+def test_decentralized_mle_rejects_non_finite_streams(stream, value):
+    streams = {"I0": np.ones(3), "P0": np.array([0.0, 3.0, 6.0], dtype=complex)}
+    streams[stream][1] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        decentralized_mle(_path3(), AdmmConfig(), **streams)
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -288,3 +294,4 @@ def test_decentralized_mle_matches_dense_oracle(g):
     assert np.max(np.abs(run.P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
     central = np.sum(P0) / np.sum(I0)
     assert np.max(np.abs(run.theta_final - central)) <= 1e-6 * abs(central)
+    assert np.array_equal(run.theta_final, run.theta[-1], equal_nan=True)

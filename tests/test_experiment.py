@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wsnmle.cli import main
-from wsnmle.consensus import AdmmConfig, ConsensusState
+from wsnmle.consensus import AdmmConfig
 from wsnmle.experiment import (
     ExperimentConfig,
     build_scenario,
@@ -134,6 +134,22 @@ def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
     assert not out.exists()  # rejected before any output or solver run
 
 
+@pytest.mark.parametrize("doc", [
+    '{"theta": [NaN, 0.0]}',
+    '{"theta": [Infinity, 0.0]}',
+    '{"sigma_n_sq": Infinity}',
+    '{"sigma_v_sq": Infinity}',
+    '{"sigma_h": NaN}',
+], ids=["theta-nan", "theta-inf", "sigma_n_sq-inf", "sigma_v_sq-inf", "sigma_h-nan"])
+def test_cli_rejects_non_finite_model_config(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)  # json reads NaN and Infinity
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="finite"):
+        main(["consensus", "--config", str(cfg_path), "--n", "8", "--seed", "7", "--out-dir", str(out)])
+    assert not out.exists()
+
+
 def test_cli_consensus_and_sweep(tmp_path):
     assert main(["consensus", "--n", "5", "--seed", "23", "--out-dir", str(tmp_path / "c")]) == 0
     assert main([
@@ -168,18 +184,18 @@ def test_selfcheck_all_pass():
 
 
 def test_selfcheck_catches_sign_error_in_multiplier_update():
-    def broken_step(g, cfg, state, x):
+    def broken_rounds(g, rho, x, y, lam):
         A = np.zeros((g.n, g.n))
         for i, j in g.edges:
             A[i, j] = A[j, i] = 1.0
         d = A.sum(axis=1)
-        rho = cfg.rho
-        with np.errstate(all="ignore"):  # the broken update diverges
-            y = (rho * d * state.y + rho * (A @ state.y) - state.lam + x) / (1.0 + 2.0 * rho * d)
-            lam = state.lam - rho * (d * y - A @ y)  # sign flipped
-        return ConsensusState(y=y, lam=lam)
+        while True:
+            with np.errstate(all="ignore"):  # the broken update diverges
+                y = (rho * d * y + rho * (A @ y) - lam + x) / (1.0 + 2.0 * rho * d)
+                lam = lam - rho * (d * y - A @ y)  # sign flipped
+            yield y, lam
 
-    results = run_all(seed=0, cases=5, overrides={"consensus": {"step_fn": broken_step}})
+    results = run_all(seed=0, cases=5, overrides={"consensus": {"rounds_fn": broken_rounds}})
     by_name = {r.name: r for r in results}
     assert not by_name["consensus"].passed
 

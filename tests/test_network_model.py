@@ -114,6 +114,27 @@ def test_model_rejects_bad_variances():
         _model(g, h, sigma_n=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["sigma_v", "sigma_n", "theta_re", "theta_im"])
+def test_model_rejects_non_finite(field, value):
+    g = _path3()
+    h = sample_channels(g, "unit", seed=0)
+    kwargs = {
+        "sigma_v": {"sigma_v": value},
+        "sigma_n": {"sigma_n": value},
+        "theta_re": {"theta": complex(value, 0.0)},
+        "theta_im": {"theta": complex(1.0, value)},
+    }[field]
+    with pytest.raises(ValueError, match="finite"):
+        _model(g, h, **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_channels_reject_non_finite_sigma_h(value):
+    with pytest.raises(ValueError, match="sigma_h must be positive and finite"):
+        sample_channels(_path3(), "complex_gaussian", sigma_h=value, seed=0)
+
+
 # --- gain vectors -----------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from wsnmle.errors import (
 from wsnmle.topology import (
     Graph,
     build_graph,
-    degree,
     graph_from_json,
     graph_to_json,
     random_connected_graph,
@@ -77,12 +76,12 @@ def test_disconnected_rejected():
 
 def test_degree():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert degree(g, 1) == 2
-    assert degree(g, 0) == 1
+    assert len(g.neighbors(1)) == 2
+    assert len(g.neighbors(0)) == 1
     complete = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert all(degree(complete, i) == 3 for i in range(4))
+    assert all(len(complete.neighbors(i)) == 3 for i in range(4))
     with pytest.raises(OutOfRange):
-        degree(g, 3)
+        g.neighbors(3)
 
 
 def test_single_node():
