@@ -22,8 +22,6 @@ from .gain_optimizer import (
     OptimizerConfig,
     OptTrace,
     build_Q,
-    build_R,
-    g_value,
     optimize,
     power_iterate,
     update_y,
@@ -32,10 +30,8 @@ from .network_model import (
     GainDomain,
     GainVector,
     NetworkModel,
-    load_network,
     node_information,
     sample_channels,
-    save_network,
 )
 from .topology import Graph, Links, build_graph, load_graph, random_connected_graph, save_graph
 

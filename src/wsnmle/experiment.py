@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -75,6 +76,10 @@ class ExperimentConfig:
     master_seed: int = 1234
 
     def __post_init__(self):
+        for name in ("n", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if isinstance(self.constraint, str):

@@ -13,8 +13,7 @@ maximizing ``f`` is the joint minimization of ``g`` over the tail
 ``ytilde`` and the gains (the power-method-like recast of Soltanalian &
 Stoica, "Designing unimodular codes via quadratic optimization", IEEE
 TSP 2014).  Neither update depends on ``eta0``, so the optimizer tracks
-``f`` itself; ``eta0`` appears only in the dense reference
-:func:`build_R`.
+``f`` itself and never forms ``R``.
 
 For fixed gains the optimal ``y`` is the normalized first column of
 ``R^{-1}`` (equivalently the vector orthogonal to all but the first row
@@ -27,8 +26,9 @@ quadratic maximization into power-method-like iterations whose objective
 never decreases.  The load is a margin times the exact largest
 eigenvalue of ``Q``, the largest root of the arrow's secular equation
 (:func:`lambda_max_estimate`).  Alternating the two updates drives ``f``
-monotonically up.  Neither matrix is ever formed densely by the
-optimizer; :func:`build_R` and :meth:`Arrow.dense` exist as references.
+monotonically up.  Neither matrix is ever formed densely; the dense
+references that check these closed forms (``build_R``, ``g_value`` and
+``dense_arrow``) live in :mod:`wsnmle.selfcheck`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ from .network_model import GainDomain, GainVector
 __all__ = [
     "OptimizerConfig",
     "OptTrace",
-    "build_R",
     "update_y",
-    "g_value",
     "Arrow",
     "build_Q",
     "lambda_max_estimate",
@@ -101,26 +99,6 @@ class OptTrace:
     outer_cycles: int = 0
 
 
-def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
-    """Assemble the dense Hermitian bordered matrix for gains ``a``.
-
-    The paper's reference form; the optimizer itself only ever uses its
-    closed-form consequences (:func:`update_y`).
-    """
-    a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
-    if a.size != gm.n:
-        raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
-    ha = gm.row_h * a[gm.row_sender]
-    cov = noise_cov_rows(gm, a)
-    m = gm.m
-    R = np.zeros((m + 1, m + 1), dtype=complex)
-    R[0, 0] = eta0
-    R[0, 1:] = np.conj(ha)
-    R[1:, 0] = ha
-    R[1:, 1:][np.diag_indices(m)] = cov
-    return R
-
-
 def update_y(gm: GlobalModel, a) -> np.ndarray:
     """Minimize the bordered quadratic form over vectors ``y = (1, ytilde)``.
 
@@ -135,17 +113,6 @@ def update_y(gm: GlobalModel, a) -> np.ndarray:
     return -gm.row_h * a[gm.row_sender] / noise_cov_rows(gm, a)
 
 
-def g_value(ytilde: np.ndarray, R: np.ndarray) -> float:
-    """Evaluate the (real) quadratic form of the dense bordered matrix at ``(1, ytilde)``."""
-    ytilde = np.asarray(ytilde, dtype=complex)
-    if ytilde.size + 1 != R.shape[0]:
-        raise DimensionMismatch(
-            f"tail vector of length {ytilde.size} for a {R.shape[0]}x{R.shape[1]} matrix"
-        )
-    y = np.concatenate(([1.0 + 0j], ytilde))
-    return float(np.real(np.conj(y) @ (R @ y)))
-
-
 class Arrow(NamedTuple):
     """Hermitian (N+1)-square arrow matrix stored in O(N).
 
@@ -155,15 +122,6 @@ class Arrow(NamedTuple):
 
     top: np.ndarray
     border: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        """The full matrix, for reference checks."""
-        n = self.top.size
-        Q = np.zeros((n + 1, n + 1), dtype=complex)
-        Q[np.diag_indices(n)] = self.top
-        Q[:n, n] = self.border
-        Q[n, :n] = np.conj(self.border)
-        return Q
 
 
 def build_Q(gm: GlobalModel, ytilde: np.ndarray) -> Arrow:

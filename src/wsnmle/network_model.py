@@ -21,14 +21,12 @@ going over the air.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, SingularCovariance
-from .topology import Graph, build_graph
+from .errors import DimensionMismatch, SingularCovariance
+from .topology import Graph
 
 __all__ = [
     "GainDomain",
@@ -37,10 +35,6 @@ __all__ = [
     "sample_channels",
     "link_information",
     "node_information",
-    "network_to_json",
-    "network_from_json",
-    "save_network",
-    "load_network",
 ]
 
 
@@ -216,50 +210,3 @@ def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
     info, _ = link_information(model.h * gains.a[links.sender], model.sigma_v_sq[links.sender], model.tx_noise())
     return np.add.reduceat(info, links.starts)
 
-
-def network_to_json(model: NetworkModel) -> str:
-    """Serialize the model (graph, channel table, variances, parameter)."""
-    links = model.graph.links
-    doc = {
-        "n": model.n,
-        "edges": model.graph.edges.tolist(),
-        "channels": [
-            list(row)
-            for row in zip(links.receiver.tolist(), links.sender.tolist(), model.h.real.tolist(), model.h.imag.tolist())
-        ],
-        "sigma_v_sq": model.sigma_v_sq.tolist(),
-        "sigma_n_sq": model.sigma_n_sq,
-        "theta": [model.theta.real, model.theta.imag],
-        "noisy_self_link": model.noisy_self_link,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def network_from_json(text: str) -> NetworkModel:
-    doc = json.loads(text)
-    graph = build_graph(doc["n"], doc["edges"])
-    rows = doc["channels"]
-    try:
-        idx = graph.links.index([row[:2] for row in rows])
-    except OutOfRange as err:
-        raise DimensionMismatch(f"channel table: {err}") from None
-    if not np.array_equal(np.sort(idx), np.arange(graph.links.sender.size)):
-        raise DimensionMismatch("channel table does not list every directed link plus self link once")
-    h = np.empty(idx.size, dtype=complex)
-    h[idx] = [complex(re, im) for _, _, re, im in rows]
-    return NetworkModel(
-        graph=graph,
-        h=h,
-        sigma_v_sq=np.asarray(doc["sigma_v_sq"], dtype=float),
-        sigma_n_sq=float(doc["sigma_n_sq"]),
-        theta=complex(doc["theta"][0], doc["theta"][1]),
-        noisy_self_link=bool(doc["noisy_self_link"]),
-    )
-
-
-def save_network(model: NetworkModel, path) -> None:
-    Path(path).write_text(network_to_json(model), encoding="utf-8")
-
-
-def load_network(path) -> NetworkModel:
-    return network_from_json(Path(path).read_text(encoding="utf-8"))

@@ -5,6 +5,9 @@ nodes by default) and returns ``None`` on success or a message naming the
 first violated property.  The consensus and quadratic-recast checks
 accept injectable replacements for the piece under test, so the test
 suite can verify that a deliberately broken update is actually caught.
+The dense reference forms of the optimizer's two arrow matrices
+(:func:`build_R`, :func:`g_value`, :func:`dense_arrow`), which the
+optimizer itself never forms, live here for those checks and the tests.
 """
 
 from __future__ import annotations
@@ -15,21 +18,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consensus import admm_rounds
-from .errors import WsnMleError
+from .errors import DimensionMismatch, WsnMleError
 from .fusion import (
+    GlobalModel,
     build_global_model,
     decompose_information,
     information_total,
     ml_variance,
+    noise_cov_rows,
     select_retainers,
 )
 from .gain_optimizer import (
     EPS_ABS,
     LAMBDA_MARGIN,
+    Arrow,
     OptimizerConfig,
     build_Q,
-    build_R,
-    g_value,
     lambda_max_estimate,
     optimize,
     update_y,
@@ -43,7 +47,7 @@ from .network_model import (
 )
 from .topology import random_connected_graph
 
-__all__ = ["CheckResult", "PROPERTY_CHECKS", "run_all"]
+__all__ = ["CheckResult", "PROPERTY_CHECKS", "run_all", "build_R", "g_value", "dense_arrow"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,47 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
+    """Assemble the dense Hermitian bordered matrix for gains ``a``.
+
+    The paper's reference form; the optimizer itself only ever uses its
+    closed-form consequences (:func:`~wsnmle.gain_optimizer.update_y`).
+    """
+    a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
+    if a.size != gm.n:
+        raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
+    ha = gm.row_h * a[gm.row_sender]
+    cov = noise_cov_rows(gm, a)
+    m = gm.m
+    R = np.zeros((m + 1, m + 1), dtype=complex)
+    R[0, 0] = eta0
+    R[0, 1:] = np.conj(ha)
+    R[1:, 0] = ha
+    R[1:, 1:][np.diag_indices(m)] = cov
+    return R
+
+
+def g_value(ytilde: np.ndarray, R: np.ndarray) -> float:
+    """Evaluate the (real) quadratic form of the dense bordered matrix at ``(1, ytilde)``."""
+    ytilde = np.asarray(ytilde, dtype=complex)
+    if ytilde.size + 1 != R.shape[0]:
+        raise DimensionMismatch(
+            f"tail vector of length {ytilde.size} for a {R.shape[0]}x{R.shape[1]} matrix"
+        )
+    y = np.concatenate(([1.0 + 0j], ytilde))
+    return float(np.real(np.conj(y) @ (R @ y)))
+
+
+def dense_arrow(Q: Arrow) -> np.ndarray:
+    """The full (N+1)-square matrix of an :class:`~wsnmle.gain_optimizer.Arrow`."""
+    n = Q.top.size
+    D = np.zeros((n + 1, n + 1), dtype=complex)
+    D[np.diag_indices(n)] = Q.top
+    D[:n, n] = Q.border
+    D[n, :n] = np.conj(Q.border)
+    return D
 
 
 def _random_scenario(rng: np.random.Generator, n_max: int, sigma_n: float = 0.1):
@@ -225,7 +270,7 @@ def check_optimizer(rng, cases, n_max):
             return "optimization did not improve on the initial gains"
         Q = build_Q(gm, update_y(gm, a))
         lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
-        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
+        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - dense_arrow(Q))))
         if mineig < -1e-9:
             return f"diagonal load leaves a negative eigenvalue {mineig:.2e}"
     return None

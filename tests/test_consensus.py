@@ -86,6 +86,9 @@ def test_config_validation():
         AdmmConfig(tol=0.0)
     with pytest.raises(ValueError):
         AdmmConfig(max_iter=0)
+    for count in (2.5, 8.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            AdmmConfig(max_iter=count)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -32,6 +32,9 @@ def test_config_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    for name, count in [("trials", 2.5), ("trials", True), ("n", 8.0), ("n", "8")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: count})
 
 
 @pytest.mark.parametrize("key", ["lambda_margin", "inner_iters", "inner_tol", "max_outer"])
@@ -147,6 +150,20 @@ def test_cli_rejects_non_finite_model_config(tmp_path, doc):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="finite"):
         main(["consensus", "--config", str(cfg_path), "--n", "8", "--seed", "7", "--out-dir", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("consensus", '{"admm": {"max_iter": 2.5}}'),
+    ("sweep", '{"trials": 2.5}'),
+    ("consensus", '{"n": 8.0}'),
+], ids=["max_iter", "trials", "n"])
+def test_cli_rejects_non_integer_count(tmp_path, command, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="must be an integer"):
+        main([command, "--config", str(cfg_path), "--out-dir", str(out)])
     assert not out.exists()
 
 

@@ -16,8 +16,6 @@ from wsnmle.gain_optimizer import (
     Arrow,
     OptimizerConfig,
     build_Q,
-    build_R,
-    g_value,
     lambda_max_estimate,
     optimize,
     power_iterate,
@@ -25,6 +23,7 @@ from wsnmle.gain_optimizer import (
     update_y,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
+from wsnmle.selfcheck import build_R, dense_arrow, g_value
 from wsnmle.topology import build_graph, random_connected_graph
 
 
@@ -182,7 +181,7 @@ def test_build_Q_scalar_arrow():
     gm = _gm_rows([1.0], [1.0], [1.0])
     t = 0.4 - 1.1j
     Q = build_Q(gm, np.array([t]))
-    np.testing.assert_allclose(Q.dense(), [[abs(t) ** 2, t], [np.conj(t), 0.0]])
+    np.testing.assert_allclose(dense_arrow(Q), [[abs(t) ** 2, t], [np.conj(t), 0.0]])
 
 
 def test_quadratic_recast_matches_bordered_form():
@@ -194,7 +193,7 @@ def test_quadratic_recast_matches_bordered_form():
         y = np.concatenate(([1.0 + 0j], tail))
         # the gain-independent part of the form
         c1 = eta0 + float(np.sum(gm.sigma_rows * np.abs(tail) ** 2))
-        Qd = build_Q(gm, tail).dense()
+        Qd = dense_arrow(build_Q(gm, tail))
         for _ in range(10):
             ar = GainVector.random(5, GainDomain.FIXED_ENERGY, rng).a
             R = build_R(gm, ar, eta0)
@@ -236,7 +235,7 @@ def test_projection_unimodular():
 
 
 def _assert_exact_lambda_max(Q):
-    true = float(np.max(np.linalg.eigvalsh(Q.dense())))
+    true = float(np.max(np.linalg.eigvalsh(dense_arrow(Q))))
     assert abs(lambda_max_estimate(Q) - true) <= 1e-13 * abs(true)
 
 
@@ -287,7 +286,7 @@ def test_power_iterate_monotone_loaded_form():
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q = build_Q(gm, tail)
-        Qd = Q.dense()
+        Qd = dense_arrow(Q)
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
             lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
@@ -309,7 +308,7 @@ def test_diagonal_load_keeps_matrix_psd():
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q = build_Q(gm, tail)
         lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
-        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - Q.dense())))
+        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - dense_arrow(Q))))
         assert mineig >= -1e-9
 
 
@@ -375,7 +374,7 @@ def _dense_optimize(gm, cfg, a_init):
     best_info, best_a = info, a
     converged = False
     for _ in range(MAX_OUTER):
-        Q = build_Q(gm, aux_tail(a)).dense()
+        Q = dense_arrow(build_Q(gm, aux_tail(a)))
         lam = LAMBDA_MARGIN * _dense_lambda_max(Q) + EPS_ABS
         cur = a
         obj = loaded(np.append(cur, 1.0), lam, Q)
@@ -482,3 +481,20 @@ def test_optimize_two_sensor_unimodular_matches_phase_grid():
         best = max(best, float(np.max(np.sum(sig / cov, axis=1))))
     achieved = trace.info_final
     assert achieved >= best * (1.0 - 0.02)
+
+
+@pytest.mark.parametrize("noisy_self", [False, True], ids=["noiseless-self", "noisy-self"])
+@pytest.mark.parametrize("domain", list(GainDomain), ids=lambda d: d.value)
+@pytest.mark.parametrize("n", [8, 16])
+def test_optimize_keeps_gain_phases(n, domain, noisy_self):
+    # build_Q's border is b_s = -a_s sum_r |h_r|^2 / cov_r, so every power
+    # step rescales each gain by a positive real factor: the phases never
+    # move, and unimodular gains are a fixed point.
+    model, a, gm = _scenario(n, 1000 + n, domain=domain, noisy_self=noisy_self)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        start = GainVector.random(n, domain, rng)
+        final = optimize(gm, OptimizerConfig(), start).gains.a
+        assert float(np.max(np.abs(np.angle(final / start.a)))) <= 1e-12
+        if domain is GainDomain.UNIMODULAR:
+            assert float(np.max(np.abs(final - start.a))) <= 1e-12

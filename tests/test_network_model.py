@@ -1,4 +1,3 @@
-import json
 from itertools import combinations
 
 import numpy as np
@@ -10,8 +9,6 @@ from wsnmle.network_model import (
     GainDomain,
     GainVector,
     NetworkModel,
-    network_from_json,
-    network_to_json,
     node_information,
     sample_channels,
 )
@@ -259,50 +256,3 @@ def test_observation_mean_matches_parameter():
     draws = np.array([sample_received(model, gm, gains, seed=s)[0] for s in range(20_000)])
     err = abs(np.mean(draws) - model.theta)
     assert err < 3.0 / np.sqrt(20_000)
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_network_serialization_round_trip():
-    g = random_connected_graph(6, "gnp", p=0.6, seed=44)
-    model = _model(g, sample_channels(g, seed=45), sigma_v=1.25, sigma_n=0.3,
-                   theta=1.5 - 0.25j, noisy_self=True)
-    text = network_to_json(model)
-    back = network_from_json(text)
-    np.testing.assert_array_equal(back.h, model.h)
-    assert back.theta == model.theta
-    assert back.sigma_n_sq == model.sigma_n_sq
-    assert back.noisy_self_link == model.noisy_self_link
-    np.testing.assert_array_equal(back.sigma_v_sq, model.sigma_v_sq)
-    assert network_to_json(back) == text
-
-
-def _channel_table(text, edit):
-    doc = json.loads(text)
-    doc["channels"] = edit(doc["channels"])
-    return json.dumps(doc)
-
-
-def test_network_from_json_reads_channel_rows_in_any_order():
-    model = _model(_path3(), sample_channels(_path3(), seed=8))
-    text = network_to_json(model)
-    back = network_from_json(_channel_table(text, lambda rows: rows[::-1]))
-    assert network_to_json(back) == text
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda rows: rows[:-1],                       # a link left out
-        lambda rows: rows + [rows[0]],                # a link listed twice
-        lambda rows: rows[1:] + [rows[1]],            # one left out, one twice
-        lambda rows: rows + [[0, 2, 1.0, 0.0]],       # not a link of the path
-        lambda rows: rows[:-1] + [[5, 0, 1.0, 0.0]],  # node out of range
-    ],
-    ids=["missing", "duplicate", "swapped", "non-link", "out-of-range"],
-)
-def test_network_from_json_rejects_bad_channel_table(edit):
-    text = network_to_json(_model(_path3(), sample_channels(_path3(), seed=8)))
-    with pytest.raises(DimensionMismatch):
-        network_from_json(_channel_table(text, edit))
