@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -176,23 +177,21 @@ def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex)
 
     The disagreement column holds each node's distance to the centralized
     estimate; guarded entries (information still below threshold) are
-    left empty.
+    left empty.  Each round's rows are formatted from Python floats
+    (``tolist``) with ``repr``; the distance is Python's ``abs`` of each
+    complex difference, whose last digit can differ from a vectorized
+    ``np.abs``.
     """
-    iters, n = run.I.shape
-    theta = run.theta
+    theta_central = complex(theta_central)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iter", "node", "I_re", "P_re", "P_im", "theta_hat_re", "theta_hat_im", "disagreement"])
-        for k in range(iters):
-            for i in range(n):
-                th = theta[k, i]
-                if np.isnan(th.real):
-                    tail = ["", "", ""]
-                else:
-                    tail = [_fmt(th.real), _fmt(th.imag), _fmt(abs(th - theta_central))]
-                w.writerow(
-                    [k, i, _fmt(run.I[k, i]), _fmt(run.P[k, i].real), _fmt(run.P[k, i].imag)] + tail
-                )
+        fh.write("iter,node,I_re,P_re,P_im,theta_hat_re,theta_hat_im,disagreement\n")
+        for k, (I, P, theta) in enumerate(zip(run.I, run.P, run.theta)):
+            fh.writelines(
+                f"{k},{i},{a!r},{p.real!r},{p.imag!r},"
+                + (",," if math.isnan(t.real) else f"{t.real!r},{t.imag!r},{abs(t - theta_central)!r}")
+                + "\n"
+                for i, (a, p, t) in enumerate(zip(I.tolist(), P.tolist(), theta.tolist()))
+            )
 
 
 def write_opt_trace(path, trace: OptTrace) -> None:

@@ -79,6 +79,46 @@ def _dense_decentralized_mle(g, cfg, I0, P0):
     return np.array(trajs[0]), np.array(trajs[1]), cfg.max_iter, False
 
 
+def _per_round_decentralized_mle(g, cfg, I0, P0):
+    # The loop decentralized_mle replaced, kernel included: integer degrees
+    # cast and broadcast in every round, the stop rule checked after every
+    # round, one row list per stream.  Returns (I, P, iterations, converged,
+    # disagreement).
+    links = g.links
+    send = np.delete(links.sender, links.own)
+    starts = links.starts - np.arange(g.n)
+    d = np.diff(starts, append=send.size)
+
+    def neighbour_sum(v):
+        if send.size == 0:
+            return np.zeros_like(v)
+        return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
+
+    I0 = np.asarray(I0, dtype=float)
+    P0 = np.asarray(P0, dtype=complex)
+    mean_I, mean_P = float(np.mean(I0)), complex(np.mean(P0))
+    scale_I, scale_P = max(1.0, abs(mean_I)), max(1.0, abs(mean_P))
+    x = np.stack((I0, P0.real, P0.imag))
+    y, lam = np.zeros_like(x), np.zeros_like(x)
+    rho = cfg.rho
+    denom = 1.0 + 2.0 * rho * d
+    s = neighbour_sum(y)
+    traj_I = [np.zeros(g.n)]
+    traj_P = [np.zeros(g.n, dtype=complex)]
+    for _ in range(cfg.max_iter):
+        y = (rho * d * y + rho * s - lam + x) / denom
+        s = neighbour_sum(y)
+        lam = lam + rho * (d * y - s)
+        traj_I.append(y[0].copy())
+        traj_P.append(y[1] + 1j * y[2])
+        dev_I = float(np.max(np.abs(traj_I[-1] - mean_I))) / scale_I
+        dev_P = float(np.max(np.abs(traj_P[-1] - mean_P))) / scale_P
+        disagreement = max(dev_I, dev_P)
+        if disagreement <= cfg.tol:
+            break
+    return np.array(traj_I), np.array(traj_P), len(traj_I) - 1, disagreement <= cfg.tol, disagreement
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AdmmConfig(rho=0.0)
@@ -298,3 +338,51 @@ def test_decentralized_mle_matches_dense_oracle(g):
     central = np.sum(P0) / np.sum(I0)
     assert np.max(np.abs(run.theta_final - central)) <= 1e-6 * abs(central)
     assert np.array_equal(run.theta_final, run.theta[-1], equal_nan=True)
+
+
+_LOOP_GRAPHS = {
+    "single": lambda: build_graph(1, []),
+    "path3": _path3,
+    "star9": lambda: build_graph(9, [(0, j) for j in range(1, 9)]),
+    "gnp40": lambda: random_connected_graph(40, "gnp", p=0.15, seed=15),
+    "gnp300": lambda: random_connected_graph(300, "gnp", p=0.03, seed=16),
+    "geo120": lambda: random_connected_graph(120, "geometric", radius=0.2, seed=17),
+    "geo300": lambda: random_connected_graph(300, "geometric", radius=0.13, seed=18),
+}
+
+
+def _assert_same_run(run, ref):
+    I_ref, P_ref, iterations, converged, disagreement = ref
+    assert run.I.shape == I_ref.shape and run.P.shape == P_ref.shape
+    assert run.I.tobytes() == I_ref.tobytes()
+    assert run.P.tobytes() == P_ref.tobytes()
+    assert (run.iterations, run.converged, run.disagreement) == (iterations, converged, disagreement)
+    assert type(run.iterations) is int and type(run.disagreement) is float
+
+
+# Caps around the stop check's block edge (BLOCK = 16), and None for a run
+# that converges somewhere inside a block.
+@pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 37, None])
+@pytest.mark.parametrize("graph", list(_LOOP_GRAPHS))
+def test_decentralized_mle_matches_per_round_loop(graph, max_iter):
+    g = _LOOP_GRAPHS[graph]()
+    rng = np.random.default_rng(g.n + 1)
+    I0 = rng.uniform(0.5, 2.0, g.n)
+    P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    cfg = AdmmConfig(rho=0.7, max_iter=max_iter or 5000, tol=1e-9)
+    ref = _per_round_decentralized_mle(g, cfg, I0, P0)
+    _assert_same_run(decentralized_mle(g, cfg, I0, P0), ref)
+    if max_iter is None:
+        assert ref[3]  # converged: the stop fell inside a block, not at the cap
+
+
+@pytest.mark.parametrize("graph", ["single", "path3", "star9"])
+def test_decentralized_mle_matches_per_round_loop_at_round_one(graph):
+    # Constant streams are within a loose tol after one round; the 15 rounds
+    # the block computed past it are discarded.
+    g = _LOOP_GRAPHS[graph]()
+    cfg = AdmmConfig(rho=0.5, max_iter=100, tol=0.9)
+    I0, P0 = np.ones(g.n), np.full(g.n, 0.5 - 0.25j)
+    ref = _per_round_decentralized_mle(g, cfg, I0, P0)
+    assert (ref[2], ref[3]) == (1, True)
+    _assert_same_run(decentralized_mle(g, cfg, I0, P0), ref)

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from wsnmle.cli import main
-from wsnmle.consensus import AdmmConfig
+from wsnmle.consensus import AdmmConfig, DecentralizedRun, decentralized_mle
 from wsnmle.experiment import (
     ExperimentConfig,
     build_scenario,
@@ -12,9 +13,17 @@ from wsnmle.experiment import (
     optimize_with_reselection,
     run_convergence,
     run_variance_sweep,
+    write_convergence_trace,
+)
+from wsnmle.fusion import (
+    build_global_model,
+    decompose_information,
+    ml_estimate,
+    sample_received,
+    select_retainers,
 )
 from wsnmle.gain_optimizer import OptimizerConfig
-from wsnmle.network_model import GainDomain, GainVector
+from wsnmle.network_model import GainDomain, GainVector, node_information
 from wsnmle.selfcheck import run_all
 from wsnmle.topology import load_graph
 
@@ -85,6 +94,57 @@ def test_run_convergence_reaches_central_estimate(tmp_path):
     summary = run_convergence(cfg, tmp_path)
     assert summary["converged"]
     assert summary["final_disagreement"] < 1e-4
+
+
+def _per_row_trace_writer(path, run, theta_central):
+    # The csv-module writer write_convergence_trace replaced: one row per
+    # node per round, numpy scalars formatted one at a time.
+    iters, n = run.I.shape
+    theta = run.theta
+    fmt = lambda x: repr(float(x))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["iter", "node", "I_re", "P_re", "P_im", "theta_hat_re", "theta_hat_im", "disagreement"])
+        for k in range(iters):
+            for i in range(n):
+                th = theta[k, i]
+                if np.isnan(th.real):
+                    tail = ["", "", ""]
+                else:
+                    tail = [fmt(th.real), fmt(th.imag), fmt(abs(th - theta_central))]
+                w.writerow([k, i, fmt(run.I[k, i]), fmt(run.P[k, i].real), fmt(run.P[k, i].imag)] + tail)
+
+
+def _pipeline_run(n):
+    cfg = ExperimentConfig(n=n, radius=0.3, master_seed=11)
+    g, model = build_scenario(cfg)
+    gains = GainVector.ones(n, cfg.constraint)
+    gm = build_global_model(model, select_retainers(g, node_information(model, gains)), gains)
+    y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", n, 0))
+    I0, P0 = decompose_information(gm, gains, y)
+    return decentralized_mle(g, cfg.admm, I0, P0), ml_estimate(y, gm, gains)
+
+
+def _edge_case_run(n):
+    # Guarded entries after round 0, signed zeros and extreme exponents.
+    rng = np.random.default_rng(12)
+    I = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-150, 150, (6, n))
+    P = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-150, 150, (6, n))
+    P = P + 1j * rng.standard_normal((6, n))
+    I[0], P[0] = 0.0, 0.0
+    I[1, ::3] = 1e-10
+    I[2, ::5], P[2, ::5] = -0.0, complex(-0.0, -0.0)
+    run = DecentralizedRun(I=I, P=P, converged=False, iterations=5, disagreement=1.0)
+    return run, 0.75 - 1.25j
+
+
+@pytest.mark.parametrize("make_run", [_pipeline_run, _edge_case_run], ids=["pipeline", "edge-cases"])
+def test_trace_writer_matches_per_row_csv(tmp_path, make_run):
+    run, theta_central = make_run(64)
+    assert np.isnan(run.theta[0].real).all()  # round 0 is guarded
+    write_convergence_trace(tmp_path / "bulk.csv", run, theta_central)
+    _per_row_trace_writer(tmp_path / "rows.csv", run, theta_central)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_sweep_deterministic_and_improving(tmp_path):
