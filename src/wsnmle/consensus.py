@@ -17,6 +17,10 @@ on the per-node information values, one on the per-node projections --
 and forms the running ratio at every node.  The update coefficients are
 real, so the complex projection runs as two real streams and one round
 advances three real rows (I, Re P, Im P) with a single neighbour sum.
+``decentralized_mle`` keeps no per-round history: it returns the final
+state, and hands each block of rounds to an optional ``record`` sink
+(``run_convergence`` streams its trace CSV through one), so its memory is
+O(|E|) whatever the round count.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "admm_rounds",
     "decentralized_mle",
     "DecentralizedRun",
+    "local_estimates",
 ]
 
 #: Nodes whose information copy is below this in magnitude emit no estimate.
@@ -101,36 +106,39 @@ def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndar
 
 @dataclass(frozen=True)
 class DecentralizedRun:
-    """Trajectories of the two consensus streams and the local estimates.
+    """The final state of the two consensus streams, and the local estimates.
 
-    Only the two streams are stored.  ``theta[k, i]``, node i's estimate
-    after k rounds, is computed from them on each access; entries are NaN
-    while the node's information copy is below the guard threshold.
+    ``I`` and ``P`` hold trajectory rows, one per round, ending with the
+    final state: ``decentralized_mle`` returns that row alone, and passes
+    every round to its ``record`` sink instead of storing it.  ``theta``
+    is computed from the rows on each access; entries are NaN while the
+    node's information copy is below the guard threshold.
     """
 
-    I: np.ndarray        # (k+1, n) real
-    P: np.ndarray        # (k+1, n) complex
+    I: np.ndarray        # (rows, n) real, rows[-1] the final state
+    P: np.ndarray        # (rows, n) complex
     converged: bool
     iterations: int
     disagreement: float  # final scaled disagreement, max over the two streams
 
     @property
     def theta(self) -> np.ndarray:
-        """(k+1, n) complex estimates, NaN where guarded."""
-        return _guarded_ratio(self.I, self.P)
+        """(rows, n) complex estimates, NaN where guarded."""
+        return local_estimates(self.I, self.P)
 
     @property
     def theta_final(self) -> np.ndarray:
-        return _guarded_ratio(self.I[-1], self.P[-1])
+        return local_estimates(self.I[-1], self.P[-1])
 
 
-def _guarded_ratio(I: np.ndarray, P: np.ndarray) -> np.ndarray:
+def local_estimates(I: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Each node's estimate ``P / I``, NaN where ``|I|`` is below :data:`EPS_GUARD`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.abs(I) < EPS_GUARD, np.nan + 1j * np.nan, P / I)
 
 
 def decentralized_mle(
-    g: Graph, cfg: AdmmConfig, I0: np.ndarray, P0: np.ndarray
+    g: Graph, cfg: AdmmConfig, I0: np.ndarray, P0: np.ndarray, record=None
 ) -> DecentralizedRun:
     """Drive every node's (information, projection) pair to the averages.
 
@@ -146,6 +154,11 @@ def decentralized_mle(
     The rule is checked once per block of ``BLOCK`` rounds, over the whole
     block at once; rounds computed past the stop are discarded, so the
     result is the same as with a check after every round.
+
+    Only the final state is kept.  A ``record(I, P)`` callable, if given,
+    receives the trajectory in fresh ``(rows, n)`` arrays: first round 0
+    (the all-zero start), then each block's rounds up to the stop, so the
+    rows of all calls, concatenated, are rounds ``0 .. iterations``.
     """
     I0 = np.asarray(I0, dtype=float)
     P0 = np.asarray(P0, dtype=complex)
@@ -160,45 +173,34 @@ def decentralized_mle(
     scale_I = max(1.0, abs(mean_I))
     scale_P = max(1.0, abs(mean_P))
 
+    if record is not None:
+        record(np.zeros((1, g.n)), np.zeros((1, g.n), dtype=complex))
     streams = np.stack((I0, P0.real, P0.imag))
     block = np.empty((min(BLOCK, cfg.max_iter), 3, g.n))
-    # Row 0 of each trajectory is the all-zero start; the buffers double
-    # whenever a block would not fit.
-    I = np.zeros((1 + len(block), g.n))
-    P = np.zeros((1 + len(block), g.n), dtype=complex)
-    k = 0  # rounds stored
+    k = 0  # rounds accepted
     rounds = admm_rounds(g, cfg.rho, streams, np.zeros_like(streams), np.zeros_like(streams))
     while True:
         m = min(len(block), cfg.max_iter - k)
         for j, (y, _lam) in zip(range(m), rounds):
             block[j] = y
-        if k + 1 + m > len(I):
-            rows = min(2 * len(I), cfg.max_iter + 1)
-            I, P = _grown(I, rows), _grown(P, rows)
-        new = slice(k + 1, k + 1 + m)
-        I[new] = block[:m, 0]
-        P[new] = block[:m, 1] + 1j * block[:m, 2]
+        I = block[:m, 0]
+        P = block[:m, 1] + 1j * block[:m, 2]
         dev = np.maximum(
-            np.max(np.abs(I[new] - mean_I), axis=1) / scale_I,
-            np.max(np.abs(P[new] - mean_P), axis=1) / scale_P,
+            np.max(np.abs(I - mean_I), axis=1) / scale_I,
+            np.max(np.abs(P - mean_P), axis=1) / scale_P,
         )
         within = np.flatnonzero(dev <= cfg.tol)
         used = int(within[0]) + 1 if within.size else m
         k += used
         disagreement = float(dev[used - 1])
+        if record is not None:
+            record(I[:used].copy(), P[:used])
         if within.size or k == cfg.max_iter:
             break
     return DecentralizedRun(
-        I=I[: k + 1],
-        P=P[: k + 1],
+        I=I[used - 1 : used].copy(),
+        P=P[used - 1 : used].copy(),
         converged=disagreement <= cfg.tol,
         iterations=k,
         disagreement=disagreement,
     )
-
-
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` copied into the leading rows of a new ``rows``-row array."""
-    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out

@@ -9,6 +9,7 @@ index...))``; see the README for the tag table.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle
+from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle, local_estimates
 from .errors import WsnMleError
 from .fusion import (
     build_global_model,
@@ -172,26 +173,44 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex) -> None:
-    """Trace CSV: iter, node, I_re, P_re, P_im, theta_hat_re, theta_hat_im, disagreement.
+TRACE_HEADER = "iter,node,I_re,P_re,P_im,theta_hat_re,theta_hat_im,disagreement\n"
 
-    The disagreement column holds each node's distance to the centralized
-    estimate; guarded entries (information still below threshold) are
-    left empty.  Each round's rows are formatted from Python floats
-    (``tolist``) with ``repr``; the distance is Python's ``abs`` of each
-    complex difference, whose last digit can differ from a vectorized
-    ``np.abs``.
+
+def trace_rows(fh, theta_central: complex):
+    """A ``decentralized_mle`` ``record`` sink that appends trace rows to ``fh``.
+
+    Each call writes one row per node for every trajectory row it is
+    given, numbering the rounds on from the previous call.  Rows are
+    formatted from Python floats (``tolist``) with ``repr``; the distance
+    is Python's ``abs`` of each complex difference, whose last digit can
+    differ from a vectorized ``np.abs``.
     """
     theta_central = complex(theta_central)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("iter,node,I_re,P_re,P_im,theta_hat_re,theta_hat_im,disagreement\n")
-        for k, (I, P, theta) in enumerate(zip(run.I, run.P, run.theta)):
+    rounds = itertools.count()
+
+    def record(I, P):
+        for I_k, P_k, theta_k, k in zip(I.tolist(), P.tolist(), local_estimates(I, P).tolist(), rounds):
             fh.writelines(
                 f"{k},{i},{a!r},{p.real!r},{p.imag!r},"
                 + (",," if math.isnan(t.real) else f"{t.real!r},{t.imag!r},{abs(t - theta_central)!r}")
                 + "\n"
-                for i, (a, p, t) in enumerate(zip(I.tolist(), P.tolist(), theta.tolist()))
+                for i, (a, p, t) in enumerate(zip(I_k, P_k, theta_k))
             )
+
+    return record
+
+
+def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex) -> None:
+    """Trace CSV of every row a run holds: iter, node, I_re, P_re, P_im, theta_hat_re, theta_hat_im, disagreement.
+
+    The disagreement column holds each node's distance to the centralized
+    estimate; guarded entries (information still below threshold) are
+    left empty.  ``run_convergence`` writes the same rows while consensus
+    runs, through :func:`trace_rows`.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(TRACE_HEADER)
+        trace_rows(fh, theta_central)(run.I, run.P)
 
 
 def write_opt_trace(path, trace: OptTrace) -> None:
@@ -233,12 +252,13 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
         gains = a0
     y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", g.n, 0))
     I0, P0 = decompose_information(gm, gains, y)
-    run = decentralized_mle(g, cfg.admm, I0, P0)
     theta_central = ml_estimate(y, gm, gains)
+    with open(out / "consensus_trace.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write(TRACE_HEADER)
+        run = decentralized_mle(g, cfg.admm, I0, P0, record=trace_rows(fh, theta_central))
     final = run.theta_final
     valid = final[~np.isnan(final.real)]
     final_disagreement = float(np.max(np.abs(valid - theta_central))) if valid.size else float("inf")
-    write_convergence_trace(out / "consensus_trace.csv", run, theta_central)
     summary = {
         "n": g.n,
         "theta": [cfg.theta.real, cfg.theta.imag],
@@ -266,8 +286,13 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     gains, plus the fraction of trials the optimizer improved on the
     all-ones baseline.  Per-trial failures are counted and skipped.
     Results are keyed by trial index, so the output does not depend on
-    completion order.
+    completion order.  Every size must be an integer of at least 1; any
+    other entry raises ``ValueError`` before the output directory exists.
     """
+    n_list = list(n_list)
+    for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"network sizes must be integers of at least 1, got {n!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -1,6 +1,10 @@
 """Dense reference forms for tests: what the package keeps per row."""
 
+import dataclasses
+
 import numpy as np
+
+from wsnmle.consensus import decentralized_mle
 
 
 def dense_H(gm):
@@ -9,6 +13,22 @@ def dense_H(gm):
     H[np.arange(gm.m), gm.row_sender] = gm.row_h
     return H
 
+
+def all_pairs_edges(pos, radius):
+    """Geometric edges by testing all n(n-1)/2 pairs of positions, in canonical order."""
+    iu, ju = np.triu_indices(len(pos), k=1)
+    dx = pos[iu, 0] - pos[ju, 0]
+    dy = pos[iu, 1] - pos[ju, 1]
+    mask = dx**2 + dy**2 <= radius * radius
+    return np.stack((iu[mask], ju[mask]), axis=1)
+
+
+def recorded_run(g, cfg, I0, P0):
+    """``decentralized_mle`` with every round kept: the run, its ``I`` and ``P`` rebuilt from the sink."""
+    rows = []
+    run = decentralized_mle(g, cfg, I0, P0, record=lambda I, P: rows.append((I, P)))
+    I, P = zip(*rows)
+    return dataclasses.replace(run, I=np.concatenate(I), P=np.concatenate(P))
 
 
 def _bisect(f, lo, hi):

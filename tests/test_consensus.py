@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dense import recorded_run
 from wsnmle.consensus import (
     AdmmConfig,
     admm_rounds,
@@ -247,7 +250,7 @@ def test_admm_rounds_rejects_wrong_length(arg):
 def test_identical_nodes_keep_constant_ratio():
     g = random_connected_graph(5, "gnp", p=0.7, seed=8)
     c, p = 2.0, 3.0 - 1.5j
-    run = decentralized_mle(g, AdmmConfig(rho=0.5, tol=1e-10), np.full(5, c), np.full(5, p))
+    run = recorded_run(g, AdmmConfig(rho=0.5, tol=1e-10), np.full(5, c), np.full(5, p))
     ratios = run.theta[1:]  # skip the guarded all-zero initial row
     valid = ~np.isnan(ratios.real)
     assert np.all(valid)
@@ -292,8 +295,11 @@ def test_decentralized_mle_reports_iteration_cap():
     run = decentralized_mle(g, cfg, np.ones(3), np.array([0.0, 3.0, 6.0]))
     assert not run.converged
     assert run.iterations == 2
-    assert run.I.shape == (3, 3)
+    assert run.I.shape == run.P.shape == (1, 3)  # the final state only
     assert run.disagreement > cfg.tol
+    full = recorded_run(g, cfg, np.ones(3), np.array([0.0, 3.0, 6.0]))
+    assert full.I.shape == full.P.shape == (3, 3)
+    assert full.I[-1].tobytes() == run.I[-1].tobytes() and full.P[-1].tobytes() == run.P[-1].tobytes()
 
 
 def test_zero_information_rejected():
@@ -328,7 +334,7 @@ def test_decentralized_mle_matches_dense_oracle(g):
     I0 = rng.uniform(0.5, 2.0, g.n)
     P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     cfg = AdmmConfig(rho=0.5, max_iter=5000, tol=1e-9)
-    run = decentralized_mle(g, cfg, I0, P0)
+    run = recorded_run(g, cfg, I0, P0)
     I_ref, P_ref, iterations, converged = _dense_decentralized_mle(g, cfg, I0, P0)
     assert (run.iterations, run.converged) == (iterations, converged)
     assert converged
@@ -351,13 +357,19 @@ _LOOP_GRAPHS = {
 }
 
 
-def _assert_same_run(run, ref):
+def _assert_same_run(g, cfg, I0, P0, ref):
+    # The sink's rows are the reference's whole trajectory, and a default
+    # call keeps its last row.
     I_ref, P_ref, iterations, converged, disagreement = ref
-    assert run.I.shape == I_ref.shape and run.P.shape == P_ref.shape
-    assert run.I.tobytes() == I_ref.tobytes()
-    assert run.P.tobytes() == P_ref.tobytes()
-    assert (run.iterations, run.converged, run.disagreement) == (iterations, converged, disagreement)
-    assert type(run.iterations) is int and type(run.disagreement) is float
+    full = recorded_run(g, cfg, I0, P0)
+    run = decentralized_mle(g, cfg, I0, P0)
+    assert full.I.shape == I_ref.shape and full.P.shape == P_ref.shape
+    assert full.I.tobytes() == I_ref.tobytes()
+    assert full.P.tobytes() == P_ref.tobytes()
+    assert run.I.tobytes() == I_ref[-1:].tobytes() and run.P.tobytes() == P_ref[-1:].tobytes()
+    for r in (full, run):
+        assert (r.iterations, r.converged, r.disagreement) == (iterations, converged, disagreement)
+        assert type(r.iterations) is int and type(r.disagreement) is float
 
 
 # Caps around the stop check's block edge (BLOCK = 16), and None for a run
@@ -371,7 +383,7 @@ def test_decentralized_mle_matches_per_round_loop(graph, max_iter):
     P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     cfg = AdmmConfig(rho=0.7, max_iter=max_iter or 5000, tol=1e-9)
     ref = _per_round_decentralized_mle(g, cfg, I0, P0)
-    _assert_same_run(decentralized_mle(g, cfg, I0, P0), ref)
+    _assert_same_run(g, cfg, I0, P0, ref)
     if max_iter is None:
         assert ref[3]  # converged: the stop fell inside a block, not at the cap
 
@@ -385,4 +397,39 @@ def test_decentralized_mle_matches_per_round_loop_at_round_one(graph):
     I0, P0 = np.ones(g.n), np.full(g.n, 0.5 - 0.25j)
     ref = _per_round_decentralized_mle(g, cfg, I0, P0)
     assert (ref[2], ref[3]) == (1, True)
-    _assert_same_run(decentralized_mle(g, cfg, I0, P0), ref)
+    _assert_same_run(g, cfg, I0, P0, ref)
+
+
+def test_record_sink_receives_rounds_in_order():
+    # Round 0 first, then each block's rounds up to the stop, as fresh arrays.
+    g = _LOOP_GRAPHS["geo120"]()
+    cfg = AdmmConfig(rho=0.7, max_iter=40, tol=1e-12)
+    calls = []
+    run = decentralized_mle(
+        g, cfg, np.ones(g.n), np.arange(g.n, dtype=complex),
+        record=lambda I, P: calls.append((I, P, I.tobytes() + P.tobytes())),
+    )
+    assert [len(I) for I, _, _ in calls] == [1, 16, 16, 8]
+    assert not calls[0][0].any() and not calls[0][1].any()
+    for I, P, seen in calls:
+        assert I.dtype == float and P.dtype == complex and I.shape == P.shape == (len(I), g.n)
+        assert I.tobytes() + P.tobytes() == seen  # later blocks did not overwrite it
+    assert calls[-1][0][-1].tobytes() == run.I[-1].tobytes()
+
+
+def test_default_run_keeps_no_history():
+    # n = 512, radius 0.1: the benchmark's estimation input size.  With
+    # every round stored the call peaked at 9.9 MB.
+    g = random_connected_graph(512, "geometric", radius=0.1, seed=19)
+    rng = np.random.default_rng(20)
+    I0 = rng.uniform(0.5, 2.0, g.n)
+    P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    tracemalloc.start()
+    try:
+        run = decentralized_mle(g, AdmmConfig(), I0, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.converged and run.iterations > 100
+    assert run.I.shape == run.P.shape == (1, g.n)
+    assert peak < 2 * 2**20

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from dense import recorded_run
 from wsnmle.cli import main
-from wsnmle.consensus import AdmmConfig, DecentralizedRun, decentralized_mle
+from wsnmle.consensus import AdmmConfig, DecentralizedRun
 from wsnmle.experiment import (
     ExperimentConfig,
     build_scenario,
@@ -122,7 +123,7 @@ def _pipeline_run(n):
     gm = build_global_model(model, select_retainers(g, node_information(model, gains)), gains)
     y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", n, 0))
     I0, P0 = decompose_information(gm, gains, y)
-    return decentralized_mle(g, cfg.admm, I0, P0), ml_estimate(y, gm, gains)
+    return recorded_run(g, cfg.admm, I0, P0), ml_estimate(y, gm, gains)
 
 
 def _edge_case_run(n):
@@ -145,6 +146,23 @@ def test_trace_writer_matches_per_row_csv(tmp_path, make_run):
     write_convergence_trace(tmp_path / "bulk.csv", run, theta_central)
     _per_row_trace_writer(tmp_path / "rows.csv", run, theta_central)
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_streamed_trace_matches_per_row_csv(tmp_path):
+    # run_convergence streams the trace while consensus runs.  n = 160 at
+    # radius 0.2 builds its graph from cells; no transmission noise keeps
+    # unit gains, so the run can be rebuilt here with every round kept.
+    cfg = ExperimentConfig(n=160, radius=0.2, sigma_n_sq=0.0, master_seed=13)
+    summary = run_convergence(cfg, tmp_path)
+    g, model = build_scenario(cfg)
+    gains = GainVector.ones(g.n, cfg.constraint)
+    gm = build_global_model(model, select_retainers(g, node_information(model, gains)), gains)
+    y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", g.n, 0))
+    I0, P0 = decompose_information(gm, gains, y)
+    run = recorded_run(g, cfg.admm, I0, P0)
+    assert summary["iterations"] == run.iterations and len(run.I) == run.iterations + 1
+    _per_row_trace_writer(tmp_path / "rows.csv", run, ml_estimate(y, gm, gains))
+    assert (tmp_path / "consensus_trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_sweep_deterministic_and_improving(tmp_path):
@@ -224,6 +242,21 @@ def test_cli_rejects_non_integer_count(tmp_path, command, doc):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="must be an integer"):
         main([command, "--config", str(cfg_path), "--out-dir", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_list", [[0, 4], [4, -1], [True], [4.0], ["4"]], ids=["zero", "negative", "bool", "float", "str"])
+def test_sweep_rejects_bad_n_list(tmp_path, n_list):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="network sizes must be integers"):
+        run_variance_sweep(ExperimentConfig(trials=1), n_list, out)
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_zero_size(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="network sizes must be integers"):
+        main(["sweep", "--n-list", "0,4", "--trials", "1", "--out-dir", str(out)])
     assert not out.exists()
 
 

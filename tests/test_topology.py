@@ -1,8 +1,10 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
+from dense import all_pairs_edges
 from wsnmle.errors import (
     Disconnected,
     DuplicateEdge,
@@ -12,7 +14,12 @@ from wsnmle.errors import (
     SelfLoop,
 )
 from wsnmle.topology import (
+    CELL_MIN_NODES,
     Graph,
+    _geometric_edges,
+    _grid_side,
+    _near_pairs,
+    _sample_edges,
     build_graph,
     graph_from_json,
     graph_to_json,
@@ -205,3 +212,88 @@ def test_graph_is_read_only_and_input_agnostic():
     array[0, 0] = 2  # the graph holds its own copy
     assert from_array == g
     assert g != Graph(n=3, edges=((0, 1), (0, 2)))
+
+
+# --- geometric sampler: cells against all pairs ------------------------------
+
+
+def _assert_same_edges(edges, ref):
+    assert edges.dtype == ref.dtype and edges.shape == ref.shape
+    assert edges.tobytes() == ref.tobytes()
+
+
+_SIZES = [1, 2, 64, 512, 1000]
+_RADII = [0.05, 0.1, 1 / 7, 0.2, 0.25, 1 / 3, 0.5]
+
+
+@pytest.mark.parametrize("radius", _RADII, ids=lambda r: f"r{r:.3f}")
+@pytest.mark.parametrize("n", _SIZES)
+def test_sampler_matches_all_pairs(n, radius):
+    # Byte-identical edge arrays from the same positions draw, whichever
+    # enumeration the grid selects.
+    for seed in range(20):
+        edges = _sample_edges(n, "geometric", radius, 0.5, np.random.default_rng(seed))
+        ref = all_pairs_edges(np.random.default_rng(seed).random((n, 2)), radius)
+        _assert_same_edges(edges, ref)
+
+
+def test_sampler_covers_both_enumerations():
+    # Cells from 128 nodes with at least three cells a side (radius <= 1/4).
+    assert _grid_side(512, 0.1) == 9 and _grid_side(1000, 0.25) == 3 and _grid_side(1000, 1 / 3) == 2
+    cells = {(n, r) for n in _SIZES for r in _RADII if n >= CELL_MIN_NODES and _grid_side(n, r) >= 3}
+    assert cells == {(n, r) for n in (512, 1000) for r in _RADII if r <= 0.25}
+
+
+def _check_hand_placed(pos, radius):
+    ref = all_pairs_edges(pos, radius)
+    assert len(pos) >= CELL_MIN_NODES and _grid_side(len(pos), radius) >= 3
+    _assert_same_edges(_geometric_edges(pos, radius), ref)
+    for side in range(3, _grid_side(len(pos), radius) + 1):  # every grid wider than radius
+        _assert_same_edges(_near_pairs(pos, radius, side), ref)
+    return ref
+
+
+def test_cells_find_pairs_exactly_radius_apart():
+    # Dyadic lattice: differences and squares are exact, so the 3-4-5
+    # triples and the axis pairs lie at exactly radius.
+    radius = 5 / 32
+    lattice = np.arange(32) / 32
+    pos = np.stack(np.meshgrid(lattice, lattice, indexing="ij"), axis=-1).reshape(-1, 2)
+    ref = _check_hand_placed(pos, radius)
+    d2 = ((pos[ref[:, 0]] - pos[ref[:, 1]]) ** 2).sum(axis=1)
+    assert (d2 == radius * radius).sum() > 1000
+
+
+def test_cells_at_cell_boundaries():
+    # Clusters of points one ulp either side of every cell boundary of the
+    # widest grid, including 0 and the largest float below 1.
+    radius = 5 / 64
+    side = _grid_side(1296, radius)
+    edges = np.arange(side + 1) / side
+    coords = np.unique(np.clip(np.concatenate((np.nextafter(edges, -1), edges, np.nextafter(edges, 2))),
+                               0.0, np.nextafter(1.0, 0.0)))
+    pos = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
+    ref = _check_hand_placed(pos, radius)
+    assert ref.size
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("radius", [1e-6, 1e-300, 5e-324])
+def test_tiny_radius_exhausts_retries(n, radius):
+    # The grid is capped at ceil(sqrt(n)) cells a side, so no attempt
+    # allocates per-cell arrays of 1/radius**2 entries.
+    assert _grid_side(n, radius) == int(np.ceil(np.sqrt(n)))
+    with pytest.raises(RetriesExhausted):
+        random_connected_graph(n, radius=radius, max_retries=3)
+
+
+def test_geometric_graph_memory():
+    # All pairs at n = 4096 peaked at 385 MB.
+    tracemalloc.start()
+    try:
+        g = random_connected_graph(4096, radius=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 50_000
+    assert peak < 32 * 2**20
