@@ -19,8 +19,8 @@ real, so the complex projection runs as two real streams and one round
 advances three real rows (I, Re P, Im P) with a single neighbour sum.
 ``decentralized_mle`` keeps no per-round history: it returns the final
 state, and hands each block of rounds to an optional ``record`` sink
-(``run_convergence`` streams its trace CSV through one), so its memory is
-O(|E|) whatever the round count.
+(``experiment.recorded_run`` keeps every round through one, for the trace
+CSV), so its memory is O(|E|) whatever the round count.
 """
 
 from __future__ import annotations

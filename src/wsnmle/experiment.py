@@ -9,17 +9,16 @@ index...))``; see the README for the tag table.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle, local_estimates
+from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle
 from .errors import WsnMleError
 from .fusion import (
     build_global_model,
@@ -31,13 +30,14 @@ from .fusion import (
 )
 from .gain_optimizer import OptimizerConfig, OptTrace, optimize
 from .network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
-from .topology import random_connected_graph, save_graph
+from .topology import Graph, random_connected_graph, save_graph
 
 __all__ = [
     "ExperimentConfig",
     "derive_seed",
     "build_scenario",
     "optimize_with_reselection",
+    "recorded_run",
     "run_convergence",
     "run_variance_sweep",
 ]
@@ -173,44 +173,40 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-TRACE_HEADER = "iter,node,I_re,P_re,P_im,theta_hat_re,theta_hat_im,disagreement\n"
+def recorded_run(g: Graph, cfg: AdmmConfig, I0, P0) -> DecentralizedRun:
+    """``decentralized_mle`` with every round kept: ``I`` and ``P`` hold rounds ``0 .. iterations``.
+
+    The rows are collected through the ``record`` sink, so this holds the
+    whole trajectory in memory; ``decentralized_mle`` alone keeps only the
+    final state.
+    """
+    rows = []
+    run = decentralized_mle(g, cfg, I0, P0, record=lambda I, P: rows.append((I, P)))
+    I, P = zip(*rows)
+    return replace(run, I=np.concatenate(I), P=np.concatenate(P))
 
 
-def trace_rows(fh, theta_central: complex):
-    """A ``decentralized_mle`` ``record`` sink that appends trace rows to ``fh``.
+def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex) -> None:
+    """Trace CSV: iter, node, I_re, P_re, P_im, theta_hat_re, theta_hat_im, disagreement.
 
-    Each call writes one row per node for every trajectory row it is
-    given, numbering the rounds on from the previous call.  Rows are
+    One row per node for every row the run holds (all rounds for a
+    :func:`recorded_run`).  The disagreement column holds each node's
+    distance to the centralized estimate; guarded entries (information
+    still below threshold) are left empty.  Each round's rows are
     formatted from Python floats (``tolist``) with ``repr``; the distance
     is Python's ``abs`` of each complex difference, whose last digit can
     differ from a vectorized ``np.abs``.
     """
     theta_central = complex(theta_central)
-    rounds = itertools.count()
-
-    def record(I, P):
-        for I_k, P_k, theta_k, k in zip(I.tolist(), P.tolist(), local_estimates(I, P).tolist(), rounds):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("iter,node,I_re,P_re,P_im,theta_hat_re,theta_hat_im,disagreement\n")
+        for k, (I, P, theta) in enumerate(zip(run.I, run.P, run.theta)):
             fh.writelines(
                 f"{k},{i},{a!r},{p.real!r},{p.imag!r},"
                 + (",," if math.isnan(t.real) else f"{t.real!r},{t.imag!r},{abs(t - theta_central)!r}")
                 + "\n"
-                for i, (a, p, t) in enumerate(zip(I_k, P_k, theta_k))
+                for i, (a, p, t) in enumerate(zip(I.tolist(), P.tolist(), theta.tolist()))
             )
-
-    return record
-
-
-def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex) -> None:
-    """Trace CSV of every row a run holds: iter, node, I_re, P_re, P_im, theta_hat_re, theta_hat_im, disagreement.
-
-    The disagreement column holds each node's distance to the centralized
-    estimate; guarded entries (information still below threshold) are
-    left empty.  ``run_convergence`` writes the same rows while consensus
-    runs, through :func:`trace_rows`.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER)
-        trace_rows(fh, theta_central)(run.I, run.P)
 
 
 def write_opt_trace(path, trace: OptTrace) -> None:
@@ -252,13 +248,12 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
         gains = a0
     y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", g.n, 0))
     I0, P0 = decompose_information(gm, gains, y)
+    run = recorded_run(g, cfg.admm, I0, P0)
     theta_central = ml_estimate(y, gm, gains)
-    with open(out / "consensus_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER)
-        run = decentralized_mle(g, cfg.admm, I0, P0, record=trace_rows(fh, theta_central))
     final = run.theta_final
     valid = final[~np.isnan(final.real)]
     final_disagreement = float(np.max(np.abs(valid - theta_central))) if valid.size else float("inf")
+    write_convergence_trace(out / "consensus_trace.csv", run, theta_central)
     summary = {
         "n": g.n,
         "theta": [cfg.theta.real, cfg.theta.imag],

@@ -228,10 +228,10 @@ def build_graph(n: int, edge_list) -> Graph:
 
 
 #: Below about this many nodes cell bookkeeping costs as much as testing
-#: all pairs (timeit minima of the two enumerations, three cells a side:
-#: 0.108 against 0.108 ms at n = 96, 0.147 against 0.171 ms at n = 128;
-#: at n = 64, four cells a side, 0.068 against 0.059 ms).
-CELL_MIN_NODES = 128
+#: all pairs, or more (timeit minima of the two enumerations: at n = 64,
+#: four cells a side, 0.072 against 0.059 ms; at n = 128, three cells a
+#: side, 0.23 against 0.25 ms).
+_CELL_MIN_NODES = 128
 
 
 def _grid_side(n: int, radius: float) -> int:
@@ -292,7 +292,7 @@ def _geometric_edges(pos: np.ndarray, radius: float) -> np.ndarray:
     # side prunes no pair, so it and small n test all pairs.
     n = len(pos)
     side = _grid_side(n, radius)
-    if side >= 3 and n >= CELL_MIN_NODES:
+    if side >= 3 and n >= _CELL_MIN_NODES:
         return _near_pairs(pos, radius, side)
     iu, ju = np.triu_indices(n, k=1)
     dx = pos[iu, 0] - pos[ju, 0]

@@ -1,10 +1,6 @@
 """Dense reference forms for tests: what the package keeps per row."""
 
-import dataclasses
-
 import numpy as np
-
-from wsnmle.consensus import decentralized_mle
 
 
 def dense_H(gm):
@@ -21,14 +17,6 @@ def all_pairs_edges(pos, radius):
     dy = pos[iu, 1] - pos[ju, 1]
     mask = dx**2 + dy**2 <= radius * radius
     return np.stack((iu[mask], ju[mask]), axis=1)
-
-
-def recorded_run(g, cfg, I0, P0):
-    """``decentralized_mle`` with every round kept: the run, its ``I`` and ``P`` rebuilt from the sink."""
-    rows = []
-    run = decentralized_mle(g, cfg, I0, P0, record=lambda I, P: rows.append((I, P)))
-    I, P = zip(*rows)
-    return dataclasses.replace(run, I=np.concatenate(I), P=np.concatenate(P))
 
 
 def _bisect(f, lo, hi):

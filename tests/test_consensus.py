@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import recorded_run
 from wsnmle.consensus import (
     AdmmConfig,
     admm_rounds,
     decentralized_mle,
 )
 from wsnmle.errors import DimensionMismatch, Disconnected, ZeroInformation
+from wsnmle.experiment import recorded_run
 from wsnmle.fusion import (
     build_global_model,
     decompose_information,

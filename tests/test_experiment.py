@@ -4,14 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from dense import recorded_run
+from wsnmle import experiment
 from wsnmle.cli import main
 from wsnmle.consensus import AdmmConfig, DecentralizedRun
+from wsnmle.errors import ZeroInformation
 from wsnmle.experiment import (
     ExperimentConfig,
     build_scenario,
     derive_seed,
     optimize_with_reselection,
+    recorded_run,
     run_convergence,
     run_variance_sweep,
     write_convergence_trace,
@@ -148,8 +150,8 @@ def test_trace_writer_matches_per_row_csv(tmp_path, make_run):
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_streamed_trace_matches_per_row_csv(tmp_path):
-    # run_convergence streams the trace while consensus runs.  n = 160 at
+def test_convergence_trace_on_cell_graph_matches_per_row_csv(tmp_path):
+    # The trace run_convergence writes, every round of it.  n = 160 at
     # radius 0.2 builds its graph from cells; no transmission noise keeps
     # unit gains, so the run can be rebuilt here with every round kept.
     cfg = ExperimentConfig(n=160, radius=0.2, sigma_n_sq=0.0, master_seed=13)
@@ -163,6 +165,16 @@ def test_streamed_trace_matches_per_row_csv(tmp_path):
     assert summary["iterations"] == run.iterations and len(run.I) == run.iterations + 1
     _per_row_trace_writer(tmp_path / "rows.csv", run, ml_estimate(y, gm, gains))
     assert (tmp_path / "consensus_trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_failed_convergence_run_writes_no_trace(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ZeroInformation("total initial information must be positive")
+
+    monkeypatch.setattr(experiment, "decentralized_mle", fail)
+    with pytest.raises(ZeroInformation):
+        run_convergence(ExperimentConfig(n=8, master_seed=3), tmp_path)
+    assert not (tmp_path / "consensus_trace.csv").exists()
 
 
 def test_sweep_deterministic_and_improving(tmp_path):

@@ -14,7 +14,7 @@ from wsnmle.errors import (
     SelfLoop,
 )
 from wsnmle.topology import (
-    CELL_MIN_NODES,
+    _CELL_MIN_NODES,
     Graph,
     _geometric_edges,
     _grid_side,
@@ -240,13 +240,13 @@ def test_sampler_matches_all_pairs(n, radius):
 def test_sampler_covers_both_enumerations():
     # Cells from 128 nodes with at least three cells a side (radius <= 1/4).
     assert _grid_side(512, 0.1) == 9 and _grid_side(1000, 0.25) == 3 and _grid_side(1000, 1 / 3) == 2
-    cells = {(n, r) for n in _SIZES for r in _RADII if n >= CELL_MIN_NODES and _grid_side(n, r) >= 3}
+    cells = {(n, r) for n in _SIZES for r in _RADII if n >= _CELL_MIN_NODES and _grid_side(n, r) >= 3}
     assert cells == {(n, r) for n in (512, 1000) for r in _RADII if r <= 0.25}
 
 
 def _check_hand_placed(pos, radius):
     ref = all_pairs_edges(pos, radius)
-    assert len(pos) >= CELL_MIN_NODES and _grid_side(len(pos), radius) >= 3
+    assert len(pos) >= _CELL_MIN_NODES and _grid_side(len(pos), radius) >= 3
     _assert_same_edges(_geometric_edges(pos, radius), ref)
     for side in range(3, _grid_side(len(pos), radius) + 1):  # every grid wider than radius
         _assert_same_edges(_near_pairs(pos, radius, side), ref)
