@@ -88,8 +88,7 @@ def cmd_consensus(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok]
-    rows = run_variance_sweep(cfg, n_list, args.out_dir)
+    rows = run_variance_sweep(cfg, args.n_list, args.out_dir)
     for row in rows:
         print(
             f"n={row['n']:3d} trials={row['trials']} failures={row['failures']} "
@@ -97,6 +96,17 @@ def cmd_sweep(args) -> int:
             f"var(rand)={row['mean_var_random']:.6g} improved={row['frac_improved']:.3f}"
         )
     return 0
+
+
+def _sizes(text: str) -> list[int]:
+    """``--n-list``: comma-separated network sizes, each an integer of at least 1."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        sizes = [0]
+    if any(n < 1 for n in sizes):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers of at least 1, got {text!r}")
+    return sizes
 
 
 def cmd_selfcheck(args) -> int:
@@ -151,7 +161,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_consensus)
 
     p = sub.add_parser("sweep", parents=[common], help="variance vs network size sweep")
-    p.add_argument("--n-list", default="4,8,12,16", help="comma-separated network sizes")
+    p.add_argument("--n-list", type=_sizes, default="4,8,12,16", help="comma-separated network sizes")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the randomized property suite")

@@ -68,9 +68,8 @@ def select_retainers(g: Graph, info: np.ndarray) -> SelectionPlan:
     # its broadcast; the first maximum of each segment is the smallest id.
     value = info[links.sender]
     value[links.own] = -1.0
-    best = value == np.maximum.reduceat(value, links.starts)[links.receiver]
-    first = np.flatnonzero(best)
-    first = first[np.diff(links.receiver[first], prepend=-1) > 0]
+    best = np.flatnonzero(value == np.maximum.reduceat(value, links.starts)[links.receiver])
+    first = best[np.searchsorted(best, links.starts)]  # every segment holds its maximum
     picked = links.reverse[first[value[first] >= 0.0]]
     kept = np.sort(np.concatenate((links.own, picked)))
     return SelectionPlan(retained=kept, r=2 * g.num_edges - picked.size)

@@ -51,7 +51,8 @@ class GainVector:
 
     The constructor enforces the domain invariant: squared norm equal to
     the length within 1e-9 relative for ``FIXED_ENERGY``, unit modulus per
-    entry within 1e-12 for ``UNIMODULAR``.
+    entry within 1e-12 for ``UNIMODULAR``.  Non-finite entries raise
+    ``ValueError`` in both domains.
     """
 
     a: np.ndarray
@@ -62,6 +63,8 @@ class GainVector:
         object.__setattr__(self, "a", a)
         if a.ndim != 1 or a.size == 0:
             raise DimensionMismatch("gain vector must be a nonempty 1-d array")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("gains must be finite")
         n = a.size
         if self.domain is GainDomain.FIXED_ENERGY:
             energy = float(np.sum(np.abs(a) ** 2))
@@ -145,6 +148,10 @@ class NetworkModel:
         return tx
 
 
+#: Edges per block of channel draws, links per block of node_information.
+_BLOCK = 1 << 12
+
+
 def sample_channels(
     graph: Graph,
     dist: str = "complex_gaussian",
@@ -174,9 +181,12 @@ def sample_channels(
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     scale = sigma_h / np.sqrt(2.0)
     # Row k holds (re, im) pairs: one per edge direction, or one shared.
-    draws = rng.normal(0.0, scale, size=(graph.num_edges, 2 if reciprocal else 4)).view(complex)
-    h[links.forward] = draws[:, 0]
-    h[links.reverse[links.forward]] = draws[:, -1]
+    # Blocks of rows draw the same stream as one call, in less memory.
+    for k in range(0, graph.num_edges, _BLOCK):
+        draws = rng.normal(0.0, scale, size=(min(_BLOCK, graph.num_edges - k), 2 if reciprocal else 4)).view(complex)
+        forward = links.forward[k : k + _BLOCK]
+        h[forward] = draws[:, 0]
+        h[links.reverse[forward]] = draws[:, -1]
     return h
 
 
@@ -190,11 +200,18 @@ def link_information(signal: np.ndarray, sigma_v: np.ndarray, tx: np.ndarray) ->
     Raises :class:`SingularCovariance` if any ``cov`` is zero (a zeroed
     gain on a reception without transmission noise).
     """
-    power = np.abs(signal) ** 2
-    cov = power * sigma_v + tx
+    return _information(np.abs(signal), np.array(sigma_v, dtype=float), tx)
+
+
+def _information(power: np.ndarray, cov: np.ndarray, tx, where=True) -> tuple[np.ndarray, np.ndarray]:
+    # link_information in place: ``power`` holds |signal| and becomes the
+    # information, ``cov`` holds sigma_v and becomes the combined variance;
+    # ``tx`` is added where ``where`` holds (adding a zero changes no bit).
+    np.square(power, out=power)
+    np.add(np.multiply(power, cov, out=cov), tx, out=cov, where=where)
     if np.any(cov <= 0.0):
         raise SingularCovariance(f"zero combined noise in receptions {np.flatnonzero(cov <= 0.0).tolist()}")
-    return power / cov, cov
+    return np.divide(power, cov, out=power), cov
 
 
 def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
@@ -206,7 +223,15 @@ def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
     """
     if gains.n != model.n:
         raise DimensionMismatch(f"{gains.n} gains for {model.n} nodes")
+    # |h a| a block at a time and no per-link noise array: temporaries small
+    # enough that freed memory is reused, not returned and faulted in again.
     links = model.graph.links
-    info, _ = link_information(model.h * gains.a[links.sender], model.sigma_v_sq[links.sender], model.tx_noise())
+    power = np.empty(links.sender.size)
+    for lo in range(0, power.size, _BLOCK):
+        signal = gains.a[links.sender[lo : lo + _BLOCK]]  # indexing: np.take copies read-only indices
+        np.abs(np.multiply(model.h[lo : lo + _BLOCK], signal, out=signal), out=power[lo : lo + _BLOCK])
+    noisy = np.ones(power.size, dtype=bool)  # the links tx_noise() gives sigma_n_sq
+    noisy[links.own] = model.noisy_self_link
+    info, _ = _information(power, model.sigma_v_sq[links.sender], model.sigma_n_sq, where=noisy)
     return np.add.reduceat(info, links.starts)
 

@@ -105,32 +105,42 @@ def _pair_array(pairs, error: type[Exception]) -> np.ndarray:
 
 
 def _links(n: int, edges: np.ndarray) -> Links:
-    # Validate an (m, 2) edge array and sort its directed links plus the n
-    # self links by (receiver, sender) in one argsort.
+    # Validate an (m, 2) array of canonical edges and lay out its links
+    # unsorted: receiver r's segment holds its edges (i, r), grouped by a
+    # stable radix sort of the second column, its self link, then its
+    # edges (r, j), a run of the edge array.
     if n < 1:
         raise OutOfRange(f"node count must be positive, got {n}")
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         bad = edges[((edges < 0) | (edges >= n)).any(axis=1)][0]
         raise OutOfRange(f"edge {tuple(bad.tolist())} references a node outside [0, {n})")
-    loops = edges[:, 0] == edges[:, 1]
+    first, second = edges[:, 0], edges[:, 1]
+    loops = first == second
     if loops.any():
-        raise SelfLoop(f"self-loop at node {int(edges[np.argmax(loops), 0])}")
-    m = edges.shape[0]
+        raise SelfLoop(f"self-loop at node {int(first[np.argmax(loops)])}")
+    keys = first * n + second
+    rises = np.diff(keys)
+    if not (first < second).all() or (rises < 0).any():
+        raise MalformedGraph("edges must be pairs (i, j) with i < j in ascending order")
+    if not rises.all():
+        raise DuplicateEdge(f"edge {divmod(int(keys[np.argmin(rises)]), n)} listed more than once")
+    del keys, rises
     nodes = np.arange(n)
-    keys = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0], nodes * (n + 1)))
-    order = np.argsort(keys)
-    keys = keys[order]
-    dup = keys[1:] == keys[:-1]
-    if dup.any():
-        pair = sorted(divmod(int(keys[np.argmax(dup)]), n))
-        raise DuplicateEdge(f"edge {tuple(pair)} listed more than once")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(keys.size)
-    reverse = np.empty_like(order)
-    reverse[pos] = pos[np.concatenate((np.arange(m, 2 * m), np.arange(m), np.arange(2 * m, keys.size)))]
-    receiver, sender = np.divmod(keys, n)
-    starts = np.searchsorted(receiver, nodes)
-    return Links(receiver, sender, starts, reverse, pos[:m], pos[2 * m :])
+    later, earlier = np.bincount(first, minlength=n), np.bincount(second, minlength=n)
+    sizes = later + earlier + 1
+    starts = np.cumsum(sizes) - sizes
+    own = starts + earlier
+    below = np.cumsum(earlier)  # links (r, i), i < r, of the nodes up to r
+    forward = np.arange(len(edges)) + (below + nodes + 1)[first]
+    by_second = np.argsort(second.astype(np.uint16) if n <= 1 << 16 else second, kind="stable")
+    backward = np.empty_like(forward)
+    backward[by_second] = np.arange(len(edges)) + (own - below)[second[by_second]]
+    sender = np.empty(2 * len(edges) + n, dtype=np.intp)
+    reverse = np.empty_like(sender)
+    for link, other_end, back in ((forward, second, backward), (backward, first, forward), (own, nodes, own)):
+        sender[link] = other_end
+        reverse[link] = back
+    return Links(np.repeat(nodes, sizes), sender, starts, reverse, forward, own)
 
 
 def _connected(links: Links) -> bool:
@@ -176,9 +186,6 @@ class Graph:
         n = self.n
         edges = _pair_array(self.edges, MalformedGraph)
         links = _links(n, edges)
-        keys = edges[:, 0] * n + edges[:, 1]
-        if not (edges[:, 0] < edges[:, 1]).all() or not (keys[1:] > keys[:-1]).all():
-            raise MalformedGraph("edges must be pairs (i, j) with i < j in ascending order")
         if not _connected(links):
             raise Disconnected(f"graph on {n} nodes with {len(edges)} edges is not connected")
         for a in (edges, *links):
@@ -228,9 +235,9 @@ def build_graph(n: int, edge_list) -> Graph:
 
 
 #: Below about this many nodes cell bookkeeping costs as much as testing
-#: all pairs, or more (timeit minima of the two enumerations: at n = 64,
-#: four cells a side, 0.072 against 0.059 ms; at n = 128, three cells a
-#: side, 0.23 against 0.25 ms).
+#: all pairs, or more (timeit minima of the two enumerations, cells first:
+#: at n = 64, four cells a side, 0.077 against 0.051 ms; at n = 128, four
+#: cells a side, 0.13 against 0.14 ms).
 _CELL_MIN_NODES = 128
 
 
@@ -294,11 +301,22 @@ def _geometric_edges(pos: np.ndarray, radius: float) -> np.ndarray:
     side = _grid_side(n, radius)
     if side >= 3 and n >= _CELL_MIN_NODES:
         return _near_pairs(pos, radius, side)
-    iu, ju = np.triu_indices(n, k=1)
-    dx = pos[iu, 0] - pos[ju, 0]
-    dy = pos[iu, 1] - pos[ju, 1]
-    mask = dx**2 + dy**2 <= radius * radius
-    return np.stack((iu[mask], ju[mask]), axis=1)
+    # All pairs, a block of rows i (about 16k pairs) at a time against the
+    # columns after its first row, in two reused 128 KiB buffers; ``below``
+    # drops the pairs j <= i.
+    x, y = np.ascontiguousarray(pos.T)
+    rows = max(1, min(n - 1, (1 << 14) // n))
+    below = np.tri(rows, rows, -1, dtype=bool)
+    bx, by = np.empty((2, rows * n))
+    parts = [np.empty((0, 2), np.intp)]
+    for i in range(0, n - 1, rows):
+        b, w = min(rows, n - 1 - i), n - 1 - i
+        dx = np.subtract.outer(x[i : i + b], x[i + 1 :], out=bx[: b * w].reshape(b, w))
+        dy = np.subtract.outer(y[i : i + b], y[i + 1 :], out=by[: b * w].reshape(b, w))
+        near = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx) <= radius * radius
+        near[:, :b][below[:b, :b]] = False
+        parts.append(np.argwhere(near) + (i, i + 1))
+    return np.concatenate(parts)
 
 
 def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -265,11 +265,26 @@ def test_sweep_rejects_bad_n_list(tmp_path, n_list):
     assert not out.exists()
 
 
-def test_cli_sweep_rejects_zero_size(tmp_path):
+def _cli_sweep_exit(tmp_path, capsys, n_list):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="network sizes must be integers"):
-        main(["sweep", "--n-list", "0,4", "--trials", "1", "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--n-list", n_list, "--trials", "1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert stop.value.code == 2
     assert not out.exists()
+    return err
+
+
+def test_cli_sweep_rejects_zero_size(tmp_path, capsys):
+    err = _cli_sweep_exit(tmp_path, capsys, "0,4")
+    assert err.startswith("usage: wsnmle sweep") and "integers of at least 1, got '0,4'" in err
+
+
+@pytest.mark.parametrize("n_list", ["4,x", "4,-1", "4.0", "x"], ids=["word", "negative", "float", "only-word"])
+def test_cli_sweep_rejects_bad_n_list(tmp_path, capsys, n_list):
+    err = _cli_sweep_exit(tmp_path, capsys, n_list)
+    assert "usage: wsnmle sweep" in err and "Traceback" not in err
+    assert f"argument --n-list: expected comma-separated integers of at least 1, got {n_list!r}" in err
 
 
 def test_cli_consensus_and_sweep(tmp_path):

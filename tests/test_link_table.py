@@ -89,6 +89,9 @@ GRAPHS = {
     "geo120": lambda: random_connected_graph(120, "geometric", radius=0.25, seed=4),
     "gnp300": lambda: random_connected_graph(300, "gnp", p=0.05, seed=5),
     "geo300": lambda: random_connected_graph(300, "geometric", radius=0.15, seed=6),
+    # The benchmark's dense sizes: every pair tested, ~130 neighbours a node at n = 256.
+    "geo64-dense": lambda: random_connected_graph(64, "geometric", radius=0.5, seed=7),
+    "geo256-dense": lambda: random_connected_graph(256, "geometric", radius=0.5, seed=8),
 }
 CHANNELS = {
     "unit": ("unit", False),

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from wsnmle.network_model import (
     node_information,
     sample_channels,
 )
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import _geometric_edges, _grid_side, build_graph, random_connected_graph
 
 
 def _path3():
@@ -141,6 +142,14 @@ def test_gain_vector_ones_feasible_in_both_domains():
         assert np.all(gv.a == 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+@pytest.mark.parametrize("domain", list(GainDomain), ids=[d.value for d in GainDomain])
+def test_gain_vector_rejects_non_finite(domain, value):
+    # NaN fails both constraint comparisons, so only a finiteness check stops it.
+    with pytest.raises(ValueError, match="gains must be finite"):
+        GainVector(np.array([value, 1.0, 1.0]), domain)
+
+
 def test_gain_vector_constraint_enforced():
     with pytest.raises(ValueError):
         GainVector(np.array([2.0, 0.0]), GainDomain.UNIMODULAR)
@@ -225,6 +234,32 @@ def test_information_decreases_with_transmission_noise():
     lo = _model(g, h, sigma_n=0.5)
     hi = _model(g, h, sigma_n=1.0)
     assert np.all(node_information(hi, gains) < node_information(lo, gains))
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_setup_passes_memory():
+    # Peaks at the benchmark's dense size, in per-link float arrays of 8
+    # bytes a link.  Built from fresh per-link temporaries, the passes
+    # peaked at 7.0 (node information), 7.0 (all pairs), 8.2 (whole graph)
+    # and 4.5 (channels).
+    n, radius, seed = 256, 0.5, 8
+    pos = np.random.default_rng(seed).random((n, 2))
+    assert _grid_side(n, radius) < 3  # every pair is tested
+    assert _peak(lambda: _geometric_edges(pos, radius)) <= 5.5 * 8 * (2 * len(_geometric_edges(pos, radius)) + n)
+    g = random_connected_graph(n, radius=radius, seed=seed)
+    unit = 8 * g.links.sender.size
+    assert _peak(lambda: random_connected_graph(n, radius=radius, seed=seed)) <= 8.2 * unit
+    assert _peak(lambda: sample_channels(g, seed=seed)) <= 4.5 * unit
+    model = _model(g, sample_channels(g, seed=seed))
+    assert _peak(lambda: node_information(model, GainVector.ones(n, GainDomain.UNIMODULAR))) <= 3.5 * unit
 
 
 # --- received observations -------------------------------------------------
