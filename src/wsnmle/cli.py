@@ -64,12 +64,10 @@ def cmd_topology(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
+    _, model = build_scenario(cfg)  # rejects a bad model before any output exists
+    _, trace = optimize_with_reselection(model, cfg.opt, GainVector.ones(cfg.n, cfg.constraint))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, model = build_scenario(cfg)
-    _, gm, trace = optimize_with_reselection(
-        model, cfg.opt, GainVector.ones(cfg.n, cfg.constraint), rounds=args.reselect_rounds
-    )
     write_opt_trace(out / "opt_trace.csv", trace)
     write_gains(out / "gains.csv", trace.gains)
     print(
@@ -149,12 +147,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_topology)
 
     p = sub.add_parser("optimize", parents=[common], help="run the cyclic gain optimizer")
-    p.add_argument(
-        "--reselect-rounds",
-        type=int,
-        default=1,
-        help="alternating selection/optimization rounds (1-5)",
-    )
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("consensus", parents=[common], help="run the decentralized estimation experiment")

@@ -49,9 +49,5 @@ class ZeroInformation(ModelError):
     """Total Fisher information is zero; the estimate is undefined."""
 
 
-class ZeroTransmissionNoise(ModelError):
-    """Transmission noise variance must be positive for gain optimization."""
-
-
 class MonotonicityViolation(WsnMleError):
     """An iteration that must not worsen its objective did (beyond slack)."""

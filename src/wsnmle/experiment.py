@@ -82,8 +82,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         if isinstance(self.constraint, str):
             object.__setattr__(self, "constraint", GainDomain(self.constraint))
         object.__setattr__(self, "theta", complex(self.theta))
@@ -138,35 +138,15 @@ def build_scenario(cfg: ExperimentConfig, n: int | None = None, trial: int = 0):
     return g, model
 
 
-def optimize_with_reselection(
-    model: NetworkModel,
-    opt_cfg: OptimizerConfig,
-    a_init: GainVector,
-    rounds: int = 1,
-):
-    """Alternate row selection and gain optimization.
+def optimize_with_reselection(model: NetworkModel, opt_cfg: OptimizerConfig, a_init: GainVector):
+    """The gain-design step: select rows at ``a_init``, then optimize once.
 
-    The selection plan is frozen inside each optimization run; between
-    runs it is recomputed from the current gains.  Stops early once the
-    plan stops changing.  Returns ``(plan, global_model, trace)`` of the
-    final round.
+    The retained rows are chosen at the initial gains and stay frozen for
+    the whole optimization run.  Returns ``(global_model, trace)``.
     """
-    if not 1 <= rounds <= 5:
-        raise ValueError("rounds must lie in [1, 5]")
-    gains = a_init
-    prev_plan = None
-    plan = None
-    gm = None
-    trace = None
-    for _ in range(rounds):
-        plan = select_retainers(model.graph, node_information(model, gains))
-        if prev_plan is not None and np.array_equal(plan.retained, prev_plan.retained):
-            break
-        gm = build_global_model(model, plan, gains)
-        trace = optimize(gm, opt_cfg, gains)
-        gains = trace.gains
-        prev_plan = plan
-    return prev_plan, gm, trace
+    plan = select_retainers(model.graph, node_information(model, a_init))
+    gm = build_global_model(model, plan, a_init)
+    return gm, optimize(gm, opt_cfg, a_init)
 
 
 def _fmt(x) -> str:
@@ -237,15 +217,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
     g, model = build_scenario(cfg)  # rejects a bad model before any output exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    a0 = GainVector.ones(g.n, cfg.constraint)
-    if cfg.sigma_n_sq > 0.0:
-        _, gm, trace = optimize_with_reselection(model, cfg.opt, a0, rounds=1)
-        gains = trace.gains
-    else:
-        # Optimization needs transmission noise; fall back to unit gains.
-        plan = select_retainers(g, node_information(model, a0))
-        gm = build_global_model(model, plan, a0)
-        gains = a0
+    gm, trace = optimize_with_reselection(model, cfg.opt, GainVector.ones(g.n, cfg.constraint))
+    gains = trace.gains
     y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", g.n, 0))
     I0, P0 = decompose_information(gm, gains, y)
     run = recorded_run(g, cfg.admm, I0, P0)
@@ -298,9 +271,7 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
             try:
                 g, model = build_scenario(cfg, n=n, trial=trial)
                 a1 = GainVector.ones(n, cfg.constraint)
-                plan = select_retainers(g, node_information(model, a1))
-                gm = build_global_model(model, plan, a1)
-                trace = optimize(gm, cfg.opt, a1)
+                gm, trace = optimize_with_reselection(model, cfg.opt, a1)
                 var_ones = ml_variance(gm, a1)
                 var_opt = trace.var_final
                 rng = np.random.default_rng(
@@ -334,10 +305,10 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
 
 def write_topology(cfg: ExperimentConfig, out_dir) -> Path:
     """Generate and save the configured random graph."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = derive_seed(cfg.master_seed, "topology", cfg.n, 0)
     g = random_connected_graph(cfg.n, cfg.topology_model, radius=cfg.radius, p=cfg.p, seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     meta = {"name": cfg.topology_model}
     meta["radius" if cfg.topology_model == "geometric" else "p"] = (
         cfg.radius if cfg.topology_model == "geometric" else cfg.p

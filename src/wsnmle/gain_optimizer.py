@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, MonotonicityViolation, ZeroTransmissionNoise
+from .errors import DimensionMismatch, MonotonicityViolation
 from .fusion import GlobalModel, information_total, noise_cov_rows
 from .network_model import GainDomain, GainVector
 
@@ -259,18 +259,17 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
     gains, so the recorded information starts at the initial gains' value
     and never decreases.  The run stops once one outer cycle changes the
     information by at most ``cfg.xi``, or after :data:`MAX_OUTER` cycles.
-    The selection plan baked into ``gm`` stays fixed for the whole run;
-    re-selecting rows is a between-runs operation (see the experiment
-    driver).  Raises :class:`ZeroTransmissionNoise` unless
-    ``gm.sigma_n_sq > 0``.
+    The selection plan baked into ``gm`` stays fixed for the whole run.
+    Without transmission noise (``gm.sigma_n_sq == 0``) every retained
+    row carries ``1/sigma_v^2`` whatever the gains, so every feasible gain
+    vector is optimal: the run records the initial information and
+    returns ``a_init``, converged after zero outer cycles.
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
     """
     if a_init.n != gm.n:
         raise DimensionMismatch(f"{a_init.n} gains for {gm.n} nodes")
-    if gm.sigma_n_sq <= 0.0:
-        raise ZeroTransmissionNoise("gain optimization requires sigma_n_sq > 0")
     trace = OptTrace()
 
     def record(gains: GainVector, inner_used: int) -> float:
@@ -281,7 +280,8 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
 
     a = best_a = a_init
     info_prev = best_info = record(a, 0)
-    for _ in range(MAX_OUTER):
+    trace.converged = gm.sigma_n_sq == 0.0
+    for _ in range(0 if trace.converged else MAX_OUTER):
         a, used = power_iterate(a, build_Q(gm, update_y(gm, a)))
         info = record(a, used)
         if info < info_prev - MONOTONE_SLACK:

@@ -22,6 +22,7 @@ from wsnmle.fusion import (
     build_global_model,
     decompose_information,
     ml_estimate,
+    ml_variance,
     sample_received,
     select_retainers,
 )
@@ -42,8 +43,9 @@ def test_config_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(trials=0)
+    for name in ("trials", "n"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            ExperimentConfig(**{name: 0})
     for name, count in [("trials", 2.5), ("trials", True), ("n", 8.0), ("n", "8")]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ExperimentConfig(**{name: count})
@@ -189,15 +191,27 @@ def test_sweep_deterministic_and_improving(tmp_path):
     assert rows1 == rows2
 
 
-def test_optimize_with_reselection_rounds():
+def test_optimize_with_reselection_selects_at_initial_gains():
     cfg = ExperimentConfig(n=6, master_seed=13)
     _, model = build_scenario(cfg)
     a0 = GainVector.ones(6, cfg.constraint)
-    plan1, gm1, trace1 = optimize_with_reselection(model, cfg.opt, a0, rounds=1)
-    plan3, gm3, trace3 = optimize_with_reselection(model, cfg.opt, a0, rounds=3)
-    assert trace1.var_final > 0 and trace3.var_final > 0
-    with pytest.raises(ValueError):
-        optimize_with_reselection(model, cfg.opt, a0, rounds=9)
+    gm, trace = optimize_with_reselection(model, cfg.opt, a0)
+    ref = build_global_model(model, select_retainers(model.graph, node_information(model, a0)), a0)
+    assert np.array_equal(gm.row_sender, ref.row_sender) and np.array_equal(gm.row_h, ref.row_h)
+    assert trace.variances[0] == ml_variance(ref, a0)
+    assert trace.var_final < trace.variances[0]
+
+
+def test_sweep_without_transmission_noise(tmp_path):
+    # Noiseless rows each carry 1/sigma_v^2; compression keeps 2n of them, whatever the gains.
+    cfg = ExperimentConfig(sigma_n_sq=0.0, trials=3, master_seed=5)
+    rows = run_variance_sweep(cfg, [4, 8], tmp_path)
+    for row in rows:
+        assert row["trials"] == 3 and row["failures"] == 0
+        expected = cfg.sigma_v_sq / (2 * row["n"])
+        for key in ("mean_var_optimized", "mean_var_all_ones", "mean_var_random"):
+            assert row[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert row["frac_improved"] == 1.0
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -218,6 +232,16 @@ def test_cli_optimize(tmp_path):
     assert (tmp_path / "gains.csv").exists()
 
 
+def test_cli_optimize_without_transmission_noise(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"sigma_n_sq": 0.0}')
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg_path), "--n", "6", "--seed", "7", "--out-dir", str(out)]) == 0
+    rows = (out / "opt_trace.csv").read_text().splitlines()
+    assert rows[0] == "outer_iter,variance,inner_iters_used"
+    assert len(rows) == 2 and rows[1].startswith("0,")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag", [("optimize", "--xi"), ("consensus", "--rho")])
 def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
@@ -227,19 +251,34 @@ def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
     assert not out.exists()  # rejected before any output or solver run
 
 
-@pytest.mark.parametrize("doc", [
-    '{"theta": [NaN, 0.0]}',
-    '{"theta": [Infinity, 0.0]}',
-    '{"sigma_n_sq": Infinity}',
-    '{"sigma_v_sq": Infinity}',
-    '{"sigma_h": NaN}',
-], ids=["theta-nan", "theta-inf", "sigma_n_sq-inf", "sigma_v_sq-inf", "sigma_h-nan"])
-def test_cli_rejects_non_finite_model_config(tmp_path, doc):
+_NON_FINITE_MODEL = {
+    "theta-nan": '{"theta": [NaN, 0.0]}',
+    "theta-inf": '{"theta": [Infinity, 0.0]}',
+    "sigma_n_sq-inf": '{"sigma_n_sq": Infinity}',
+    "sigma_v_sq-inf": '{"sigma_v_sq": Infinity}',
+    "sigma_h-nan": '{"sigma_h": NaN}',
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param(command, doc, id=key if command == "consensus" else f"{command}-{key}")
+    for command in ("consensus", "optimize")
+    for key, doc in _NON_FINITE_MODEL.items()
+])
+def test_cli_rejects_non_finite_model_config(tmp_path, command, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(doc)  # json reads NaN and Infinity
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="finite"):
-        main(["consensus", "--config", str(cfg_path), "--n", "8", "--seed", "7", "--out-dir", str(out)])
+        main([command, "--config", str(cfg_path), "--n", "8", "--seed", "7", "--out-dir", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["topology", "optimize"])
+def test_cli_rejects_zero_n(tmp_path, command):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        main([command, "--n", "0", "--out-dir", str(out)])
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 from dense import dense_H, water_filling_information
 
 from wsnmle import gain_optimizer
-from wsnmle.errors import MonotonicityViolation, SingularCovariance, ZeroTransmissionNoise
+from wsnmle.errors import MonotonicityViolation, SingularCovariance
 from wsnmle.experiment import ExperimentConfig, build_scenario
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
@@ -67,10 +67,15 @@ def test_optimizer_config_rejects_non_finite(xi):
         OptimizerConfig(xi=xi)
 
 
-def test_optimize_requires_transmission_noise():
+def test_optimize_without_transmission_noise():
+    # Every noiseless row carries 1/sigma_v^2 whatever the gains: the initial gains are optimal.
     gm = _gm_rows([1.0], [0.0], [1.0], sigma_n_sq=0.0)
-    with pytest.raises(ZeroTransmissionNoise):
-        optimize(gm, OptimizerConfig(), GainVector.ones(1, GainDomain.FIXED_ENERGY))
+    a_init = GainVector.ones(1, GainDomain.FIXED_ENERGY)
+    trace = optimize(gm, OptimizerConfig(), a_init)
+    assert trace.gains is a_init
+    assert trace.converged and trace.outer_cycles == 0
+    assert trace.variances == [1.0] and trace.inner_iters_used == [0]
+    assert trace.info_final == 1.0 and trace.var_final == 1.0
 
 
 # --- bordered matrix ---------------------------------------------------------
