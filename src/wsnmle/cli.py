@@ -9,13 +9,16 @@ Subcommands::
     wsnmle selfcheck                         # property suite, exit code 0/1
 
 All subcommands accept ``--config FILE`` (JSON, same keys as
-``ExperimentConfig``) plus a handful of common overrides.
+``ExperimentConfig``) plus a handful of common overrides.  The parser is
+built on the first :func:`main` call and reused for the rest of the
+process; the property suite is imported only by ``wsnmle selfcheck``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,7 +34,6 @@ from .experiment import (
     write_topology,
 )
 from .network_model import GainDomain, GainVector
-from .selfcheck import run_all
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -108,6 +110,8 @@ def _sizes(text: str) -> list[int]:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_all  # the suite's only user: other commands skip compiling it
+
     cfg = _load_config(args)
     results = run_all(seed=cfg.master_seed, cases=args.cases)
     failed = [r for r in results if not r.passed]
@@ -123,7 +127,11 @@ def cmd_selfcheck(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process (each add_argument makes a HelpFormatter that
+    # probes the terminal), so it holds nothing that varies between calls:
+    # the cmd_* functions look their collaborators up when they run.
     parser = argparse.ArgumentParser(
         prog="wsnmle",
         description="Decentralized ML estimation and sensor-gain optimization experiments.",
@@ -159,8 +167,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("selfcheck", parents=[common], help="run the randomized property suite")
     p.add_argument("--cases", type=int, default=100, help="random cases per property")
     p.set_defaults(fn=cmd_selfcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, MonotonicityViolation
+from .errors import DimensionMismatch, MonotonicityViolation, ZeroInformation
 from .fusion import GlobalModel, information_total, noise_cov_rows
 from .network_model import GainDomain, GainVector
 
@@ -267,6 +267,8 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
+    Raises :class:`ZeroInformation` if no recorded iterate carries any
+    information, since the variance is then undefined.
     """
     if a_init.n != gm.n:
         raise DimensionMismatch(f"{a_init.n} gains for {gm.n} nodes")
@@ -292,6 +294,8 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
             trace.converged = True
             break
         info_prev = info
+    if best_info <= 0.0:
+        raise ZeroInformation("total information is zero at every recorded gain vector")
     trace.gains = best_a
     trace.info_final = best_info
     trace.var_final = 1.0 / best_info

@@ -27,7 +27,7 @@ cell bucketing; Bentley, Stanat & Williams, IPL 1977), so time and memory
 grow with n and the edge count rather than with n(n-1)/2.  Each test is
 the all-pairs arithmetic in the same operand order and the survivors are
 sorted into canonical order, so the edges are byte-identical to testing
-every pair.  Small graphs, and radii that leave fewer than three cells a
+every pair.  Small graphs, and radii that leave fewer than seven cells a
 side, still test all pairs, as ``gnp`` does.
 """
 
@@ -236,9 +236,18 @@ def build_graph(n: int, edge_list) -> Graph:
 
 #: Below about this many nodes cell bookkeeping costs as much as testing
 #: all pairs, or more (timeit minima of the two enumerations, cells first:
-#: at n = 64, four cells a side, 0.077 against 0.051 ms; at n = 128, four
-#: cells a side, 0.13 against 0.14 ms).
+#: at n = 64, seven cells a side, 0.057 against 0.044 ms; at n = 96, 0.064
+#: against 0.075 ms; at n = 128, 0.081 against 0.123 ms).
 _CELL_MIN_NODES = 128
+
+#: With fewer cells a side the candidate pairs of neighbouring cells cost
+#: more than the blocked all-pairs test, which also holds less memory
+#: (timeit minima on a 2-vCPU Xeon VM, same positions, radius
+#: 1/(side+1), cells against all pairs, ms): six a side 1.06/1.07 at
+#: n = 512, 3.6/4.3 at n = 1024 and 80/60 at n = 4096; seven a side
+#: 0.71/1.02, 2.3/4.2 and 51/61; five and fewer lose from n = 512 (five:
+#: 1.5/1.1, three: 3.6/1.3).
+_CELL_MIN_SIDE = 7
 
 
 def _grid_side(n: int, radius: float) -> int:
@@ -295,11 +304,11 @@ def _near_pairs(pos: np.ndarray, radius: float, side: int) -> np.ndarray:
 def _geometric_edges(pos: np.ndarray, radius: float) -> np.ndarray:
     # Canonical edges of the nodes at ``pos`` (n, 2) in the unit square: a
     # pair (i, j), i < j, whenever ``dx**2 + dy**2 <= radius**2`` with
-    # ``dx = pos[i, 0] - pos[j, 0]``.  A grid of fewer than three cells a
-    # side prunes no pair, so it and small n test all pairs.
+    # ``dx = pos[i, 0] - pos[j, 0]``.  Small n and coarse grids test all
+    # pairs (``_CELL_MIN_NODES``, ``_CELL_MIN_SIDE``).
     n = len(pos)
     side = _grid_side(n, radius)
-    if side >= 3 and n >= _CELL_MIN_NODES:
+    if side >= _CELL_MIN_SIDE and n >= _CELL_MIN_NODES:
         return _near_pairs(pos, radius, side)
     # All pairs, a block of rows i (about 16k pairs) at a time against the
     # columns after its first row, in two reused 128 KiB buffers; ``below``

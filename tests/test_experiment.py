@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +353,18 @@ def test_cli_selfcheck(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[PASS]") == 7
+
+
+def test_cli_import_leaves_selfcheck_and_parser_unbuilt():
+    # Only ``wsnmle selfcheck`` loads the property suite, and the parser is
+    # built on the first main() call, not at import.
+    probe = ("import sys, wsnmle.cli as cli; "
+             "assert 'wsnmle.selfcheck' not in sys.modules, 'selfcheck imported'; "
+             "assert cli._parser.cache_info().currsize == 0, 'parser built at import'")
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # --- property suite and mutation sanity ---------------------------------------

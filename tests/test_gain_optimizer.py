@@ -3,7 +3,7 @@ import pytest
 from dense import dense_H, water_filling_information
 
 from wsnmle import gain_optimizer
-from wsnmle.errors import MonotonicityViolation, SingularCovariance
+from wsnmle.errors import MonotonicityViolation, SingularCovariance, WsnMleError, ZeroInformation
 from wsnmle.experiment import ExperimentConfig, build_scenario
 from wsnmle.fusion import GlobalModel, build_global_model, information_total, ml_variance, select_retainers
 from wsnmle.gain_optimizer import (
@@ -76,6 +76,15 @@ def test_optimize_without_transmission_noise():
     assert trace.converged and trace.outer_cycles == 0
     assert trace.variances == [1.0] and trace.inner_iters_used == [0]
     assert trace.info_final == 1.0 and trace.var_final == 1.0
+
+
+def test_optimize_zero_information_is_typed():
+    # A row with a zero channel carries no information at any gains: the
+    # variance is undefined, and the error is one the sweep counts as a failed trial.
+    gm = _gm_rows([0.0], [0.1], [1.0], sigma_n_sq=0.1)
+    with pytest.raises(ZeroInformation) as err:
+        optimize(gm, OptimizerConfig(), GainVector.ones(1, GainDomain.FIXED_ENERGY))
+    assert isinstance(err.value, WsnMleError)
 
 
 # --- bordered matrix ---------------------------------------------------------

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from wsnmle import cli
 from wsnmle.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SWEEP = ["sweep", "--constraint", "unimodular", "--n-list", "8,16", "--trials", "3", "--seed", "7"]
 CONSENSUS = ["consensus", "--n", "8", "--seed", "7"]
 OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
 
@@ -25,7 +27,7 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["sweep", "--constraint", "unimodular", "--n-list", "8,16", "--trials", "3", "--seed", "7"], "sweep.csv"),
+        (SWEEP, "sweep.csv"),
         (["topology", "--n", "16", "--seed", "7"], "graph.json"),
         (CONSENSUS, "consensus_trace.csv"),
         (CONSENSUS, "summary.json"),
@@ -37,3 +39,22 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
 def test_output_bytes_match_golden(tmp_path, argv, name):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # The parser is built once per process: a rejected argv and --help
+    # between runs leave nothing behind that changes a later run's bytes.
+    parser = cli._parser()
+    assert main(SWEEP + ["--out-dir", str(tmp_path / "sweep-1")]) == 0
+    assert main(CONSENSUS + ["--out-dir", str(tmp_path / "consensus")]) == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--n-list", "0,4", "--out-dir", str(tmp_path / "rejected")])
+    assert stop.value.code == 2 and not (tmp_path / "rejected").exists()
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0 and "usage: wsnmle" in capsys.readouterr().out
+    assert main(SWEEP + ["--out-dir", str(tmp_path / "sweep-2")]) == 0
+    assert cli._parser() is parser
+    for out, name in [("sweep-1", "sweep.csv"), ("consensus", "consensus_trace.csv"),
+                      ("consensus", "summary.json"), ("sweep-2", "sweep.csv")]:
+        assert (tmp_path / out / name).read_bytes() == (GOLDEN / name).read_bytes(), (out, name)

@@ -15,6 +15,7 @@ from wsnmle.errors import (
 )
 from wsnmle.topology import (
     _CELL_MIN_NODES,
+    _CELL_MIN_SIDE,
     Graph,
     _geometric_edges,
     _grid_side,
@@ -238,10 +239,12 @@ def test_sampler_matches_all_pairs(n, radius):
 
 
 def test_sampler_covers_both_enumerations():
-    # Cells from 128 nodes with at least three cells a side (radius <= 1/4).
-    assert _grid_side(512, 0.1) == 9 and _grid_side(1000, 0.25) == 3 and _grid_side(1000, 1 / 3) == 2
-    cells = {(n, r) for n in _SIZES for r in _RADII if n >= _CELL_MIN_NODES and _grid_side(n, r) >= 3}
-    assert cells == {(n, r) for n in (512, 1000) for r in _RADII if r <= 0.25}
+    # Cells from 128 nodes with at least seven cells a side (radius <= 1/8);
+    # coarser grids (1/7 gives six a side) test all pairs.
+    assert _CELL_MIN_SIDE == 7
+    assert _grid_side(512, 0.1) == 9 and _grid_side(1000, 1 / 7) == 6 and _grid_side(1000, 0.25) == 3
+    cells = {(n, r) for n in _SIZES for r in _RADII if n >= _CELL_MIN_NODES and _grid_side(n, r) >= _CELL_MIN_SIDE}
+    assert cells == {(n, r) for n in (512, 1000) for r in _RADII if r <= 0.1}
 
 
 def _check_hand_placed(pos, radius):
