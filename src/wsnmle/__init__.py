@@ -19,7 +19,6 @@ from .fusion import (
     select_retainers,
 )
 from .gain_optimizer import (
-    OptimizerConfig,
     OptTrace,
     build_Q,
     optimize,

@@ -52,8 +52,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, constraint=GainDomain(args.constraint))
     if args.rho is not None:
         cfg = dataclasses.replace(cfg, admm=dataclasses.replace(cfg.admm, rho=args.rho))
-    if args.xi is not None:
-        cfg = dataclasses.replace(cfg, opt=dataclasses.replace(cfg.opt, xi=args.xi))
     return cfg
 
 
@@ -67,7 +65,7 @@ def cmd_topology(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     _, model = build_scenario(cfg)  # rejects a bad model before any output exists
-    _, trace = optimize_with_reselection(model, cfg.opt, GainVector.ones(cfg.n, cfg.constraint))
+    _, trace = optimize_with_reselection(model, GainVector.ones(cfg.n, cfg.constraint))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_opt_trace(out / "opt_trace.csv", trace)
@@ -149,7 +147,6 @@ def _parser() -> argparse.ArgumentParser:
         help="gain constraint domain override",
     )
     common.add_argument("--rho", type=float, help="consensus step constant override")
-    common.add_argument("--xi", type=float, help="optimizer outer stop threshold override")
 
     p = sub.add_parser("topology", parents=[common], help="generate a random connected graph")
     p.set_defaults(fn=cmd_topology)

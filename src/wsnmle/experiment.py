@@ -28,7 +28,7 @@ from .fusion import (
     sample_received,
     select_retainers,
 )
-from .gain_optimizer import OptimizerConfig, OptTrace, optimize
+from .gain_optimizer import OptTrace, optimize
 from .network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
 from .topology import Graph, random_connected_graph, save_graph
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     constraint: GainDomain = GainDomain.FIXED_ENERGY
     noisy_self_link: bool = False
     admm: AdmmConfig = field(default_factory=AdmmConfig)
-    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     trials: int = 300
     master_seed: int = 1234
 
@@ -95,8 +94,6 @@ class ExperimentConfig:
             doc["theta"] = complex(doc["theta"][0], doc["theta"][1])
         if "admm" in doc and isinstance(doc["admm"], dict):
             doc["admm"] = AdmmConfig(**doc["admm"])
-        if "opt" in doc and isinstance(doc["opt"], dict):
-            doc["opt"] = OptimizerConfig(**doc["opt"])
         return cls(**doc)
 
     @classmethod
@@ -110,16 +107,16 @@ class ExperimentConfig:
         return doc
 
 
+def _trial_graph(cfg: ExperimentConfig, n: int, trial: int) -> tuple[Graph, int]:
+    """The random graph of a trial and the seed it was drawn from."""
+    seed = derive_seed(cfg.master_seed, "topology", n, trial)
+    return random_connected_graph(n, cfg.topology_model, radius=cfg.radius, p=cfg.p, seed=seed), seed
+
+
 def build_scenario(cfg: ExperimentConfig, n: int | None = None, trial: int = 0):
     """Sample one (graph, model) pair for a trial index."""
     n = cfg.n if n is None else n
-    g = random_connected_graph(
-        n,
-        cfg.topology_model,
-        radius=cfg.radius,
-        p=cfg.p,
-        seed=derive_seed(cfg.master_seed, "topology", n, trial),
-    )
+    g, _ = _trial_graph(cfg, n, trial)
     h = sample_channels(
         g,
         cfg.channel_dist,
@@ -138,7 +135,7 @@ def build_scenario(cfg: ExperimentConfig, n: int | None = None, trial: int = 0):
     return g, model
 
 
-def optimize_with_reselection(model: NetworkModel, opt_cfg: OptimizerConfig, a_init: GainVector):
+def optimize_with_reselection(model: NetworkModel, a_init: GainVector):
     """The gain-design step: select rows at ``a_init``, then optimize once.
 
     The retained rows are chosen at the initial gains and stay frozen for
@@ -146,7 +143,7 @@ def optimize_with_reselection(model: NetworkModel, opt_cfg: OptimizerConfig, a_i
     """
     plan = select_retainers(model.graph, node_information(model, a_init))
     gm = build_global_model(model, plan, a_init)
-    return gm, optimize(gm, opt_cfg, a_init)
+    return gm, optimize(gm, a_init)
 
 
 def _fmt(x) -> str:
@@ -217,7 +214,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
     g, model = build_scenario(cfg)  # rejects a bad model before any output exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gm, trace = optimize_with_reselection(model, cfg.opt, GainVector.ones(g.n, cfg.constraint))
+    gm, trace = optimize_with_reselection(model, GainVector.ones(g.n, cfg.constraint))
     gains = trace.gains
     y = sample_received(model, gm, gains, seed=derive_seed(cfg.master_seed, "obs", g.n, 0))
     I0, P0 = decompose_information(gm, gains, y)
@@ -270,10 +267,8 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
         for trial in range(cfg.trials):
             try:
                 g, model = build_scenario(cfg, n=n, trial=trial)
-                a1 = GainVector.ones(n, cfg.constraint)
-                gm, trace = optimize_with_reselection(model, cfg.opt, a1)
-                var_ones = ml_variance(gm, a1)
-                var_opt = trace.var_final
+                _, trace = optimize_with_reselection(model, GainVector.ones(n, cfg.constraint))
+                var_ones, var_opt = trace.variances[0], trace.var_final
                 rng = np.random.default_rng(
                     np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),))
                 )
@@ -305,8 +300,7 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
 
 def write_topology(cfg: ExperimentConfig, out_dir) -> Path:
     """Generate and save the configured random graph."""
-    seed = derive_seed(cfg.master_seed, "topology", cfg.n, 0)
-    g = random_connected_graph(cfg.n, cfg.topology_model, radius=cfg.radius, p=cfg.p, seed=seed)
+    g, seed = _trial_graph(cfg, cfg.n, 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"name": cfg.topology_model}

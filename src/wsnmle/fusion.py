@@ -91,7 +91,6 @@ class GlobalModel:
     row_h: np.ndarray
     sigma_rows: np.ndarray   # transmission-noise variance per row (diag of Sigma)
     v_diag: np.ndarray       # per-node observation-noise variances (diag of V)
-    sigma_n_sq: float
 
     @property
     def m(self) -> int:
@@ -121,9 +120,8 @@ def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVect
         row_receiver=links.receiver[idx],
         row_sender=links.sender[idx],
         row_h=model.h[idx],
-        sigma_rows=model.tx_noise()[idx],
+        sigma_rows=float(model.sigma_n_sq) * model.noisy_links()[idx],
         v_diag=model.sigma_v_sq.copy(),
-        sigma_n_sq=float(model.sigma_n_sq),
     )
 
 

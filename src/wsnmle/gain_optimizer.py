@@ -44,7 +44,6 @@ from .fusion import GlobalModel, information_total, noise_cov_rows
 from .network_model import GainDomain, GainVector
 
 __all__ = [
-    "OptimizerConfig",
     "OptTrace",
     "update_y",
     "Arrow",
@@ -67,17 +66,7 @@ LAMBDA_MARGIN = 1.05    # diagonal load as a multiple of lambda_max(Q)
 INNER_ITERS = 500       # power steps per outer cycle, at most
 INNER_TOL = 1e-10       # inner stop: largest gain move per power step
 MAX_OUTER = 200         # outer cycles, at most
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """The outer stop: a cycle that moves the information by at most ``xi``."""
-
-    xi: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.xi < math.inf:
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+XI = 1e-8               # outer stop: largest information move per cycle
 
 
 @dataclass
@@ -252,18 +241,18 @@ def power_iterate(a: GainVector, Q: Arrow):
     return GainVector(cur, a.domain), used
 
 
-def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTrace:
+def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     """Run the cyclic gain optimization on a frozen global model.
 
     The auxiliary vector is initialized at its optimum for the initial
     gains, so the recorded information starts at the initial gains' value
     and never decreases.  The run stops once one outer cycle changes the
-    information by at most ``cfg.xi``, or after :data:`MAX_OUTER` cycles.
+    information by at most :data:`XI`, or after :data:`MAX_OUTER` cycles.
     The selection plan baked into ``gm`` stays fixed for the whole run.
-    Without transmission noise (``gm.sigma_n_sq == 0``) every retained
-    row carries ``1/sigma_v^2`` whatever the gains, so every feasible gain
-    vector is optimal: the run records the initial information and
-    returns ``a_init``, converged after zero outer cycles.
+    When no retained row carries transmission noise, every row carries
+    ``1/sigma_v^2`` whatever the gains, so every feasible gain vector is
+    optimal: the run records the initial information and returns
+    ``a_init``, converged after zero outer cycles.
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
@@ -282,7 +271,7 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
 
     a = best_a = a_init
     info_prev = best_info = record(a, 0)
-    trace.converged = gm.sigma_n_sq == 0.0
+    trace.converged = not gm.sigma_rows.any()
     for _ in range(0 if trace.converged else MAX_OUTER):
         a, used = power_iterate(a, build_Q(gm, update_y(gm, a)))
         info = record(a, used)
@@ -290,7 +279,7 @@ def optimize(gm: GlobalModel, cfg: OptimizerConfig, a_init: GainVector) -> OptTr
             raise MonotonicityViolation(f"information decreased across outer cycle: {info_prev} -> {info}")
         if info > best_info:
             best_info, best_a = info, a
-        if abs(info - info_prev) <= cfg.xi:
+        if abs(info - info_prev) <= XI:
             trace.converged = True
             break
         info_prev = info

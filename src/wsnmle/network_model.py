@@ -139,13 +139,15 @@ class NetworkModel:
     def n(self) -> int:
         return self.graph.n
 
-    def tx_noise(self) -> np.ndarray:
-        """Transmission-noise variance of every link."""
+    def noisy_links(self) -> np.ndarray:
+        """Which links carry transmission noise (of variance ``sigma_n_sq``).
+
+        Every link does, except the self links when ``noisy_self_link`` is false.
+        """
         links = self.graph.links
-        tx = np.full(links.sender.size, float(self.sigma_n_sq))
-        if not self.noisy_self_link:
-            tx[links.own] = 0.0
-        return tx
+        noisy = np.ones(links.sender.size, dtype=bool)
+        noisy[links.own] = self.noisy_self_link
+        return noisy
 
 
 #: Edges per block of channel draws, links per block of node_information.
@@ -230,8 +232,6 @@ def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
     for lo in range(0, power.size, _BLOCK):
         signal = gains.a[links.sender[lo : lo + _BLOCK]]  # indexing: np.take copies read-only indices
         np.abs(np.multiply(model.h[lo : lo + _BLOCK], signal, out=signal), out=power[lo : lo + _BLOCK])
-    noisy = np.ones(power.size, dtype=bool)  # the links tx_noise() gives sigma_n_sq
-    noisy[links.own] = model.noisy_self_link
-    info, _ = _information(power, model.sigma_v_sq[links.sender], model.sigma_n_sq, where=noisy)
+    info, _ = _information(power, model.sigma_v_sq[links.sender], model.sigma_n_sq, where=model.noisy_links())
     return np.add.reduceat(info, links.starts)
 

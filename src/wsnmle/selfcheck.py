@@ -32,7 +32,6 @@ from .gain_optimizer import (
     EPS_ABS,
     LAMBDA_MARGIN,
     Arrow,
-    OptimizerConfig,
     build_Q,
     lambda_max_estimate,
     optimize,
@@ -248,14 +247,13 @@ def check_equivalence(rng, cases, n_max):
 
 def check_optimizer(rng, cases, n_max):
     """Monotone information, feasible iterates, and a valid diagonal load."""
-    cfg = OptimizerConfig()
     for _ in range(cases):
         domain = GainDomain.FIXED_ENERGY if rng.random() < 0.5 else GainDomain.UNIMODULAR
         g, model = _random_scenario(rng, n_max)
         a0 = GainVector.ones(g.n, domain)
         plan = select_retainers(g, node_information(model, a0))
         gm = build_global_model(model, plan, a0)
-        trace = optimize(gm, cfg, a0)
+        trace = optimize(gm, a0)
         info = 1.0 / np.asarray(trace.variances)
         if np.any(np.diff(info) < -1e-10):
             return f"information decreased along the trace (max drop {-np.min(np.diff(info)):.2e})"

@@ -15,7 +15,7 @@ from wsnmle.fusion import (
     sample_received,
     select_retainers,
 )
-from wsnmle.gain_optimizer import OptimizerConfig, optimize
+from wsnmle.gain_optimizer import optimize
 from wsnmle.network_model import (
     GainDomain,
     GainVector,
@@ -127,13 +127,12 @@ def test_criterion_6_hadamard_identity():
 
 
 def test_criterion_7_improvement_over_baseline():
-    cfg = OptimizerConfig()
     improved = 0
     total = 300
     for trial in range(total):
         domain = GainDomain.FIXED_ENERGY if trial % 2 == 0 else GainDomain.UNIMODULAR
         g, model, a, gm = _scenario(8, 7000 + trial, domain=domain)
-        trace = optimize(gm, cfg, a)
+        trace = optimize(gm, a)
         if trace.var_final <= ml_variance(gm, a):
             improved += 1
     ok = improved == total
@@ -143,7 +142,6 @@ def test_criterion_7_improvement_over_baseline():
 
 def test_criterion_8_two_sensor_grid_near_optimality():
     # Soft criterion: report the per-seed optimality gaps.
-    cfg = OptimizerConfig()
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     hits = 0
     worst_gap = 0.0
@@ -154,7 +152,7 @@ def test_criterion_8_two_sensor_grid_near_optimality():
         a0 = GainVector.ones(2, GainDomain.UNIMODULAR)
         plan = select_retainers(g, node_information(model, a0))
         gm = build_global_model(model, plan, a0)
-        trace = optimize(gm, cfg, a0)
+        trace = optimize(gm, a0)
         best = -np.inf
         for p0 in phases:
             gains = np.stack(np.broadcast_arrays(np.full(720, p0), phases), axis=1)

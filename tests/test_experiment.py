@@ -30,7 +30,6 @@ from wsnmle.fusion import (
     sample_received,
     select_retainers,
 )
-from wsnmle.gain_optimizer import OptimizerConfig
 from wsnmle.network_model import GainDomain, GainVector, node_information
 from wsnmle.selfcheck import run_all
 from wsnmle.topology import load_graph
@@ -38,8 +37,7 @@ from wsnmle.topology import load_graph
 
 def test_config_round_trip():
     cfg = ExperimentConfig(n=6, theta=3.0 + 1.0j, constraint=GainDomain.UNIMODULAR,
-                           admm=AdmmConfig(rho=0.9), opt=OptimizerConfig(xi=1e-7),
-                           trials=7, master_seed=77)
+                           admm=AdmmConfig(rho=0.9), trials=7, master_seed=77)
     doc = cfg.to_dict()
     back = ExperimentConfig.from_dict(doc)
     assert back == cfg
@@ -55,9 +53,9 @@ def test_config_validation():
             ExperimentConfig(**{name: count})
 
 
-@pytest.mark.parametrize("key", ["lambda_margin", "inner_iters", "inner_tol", "max_outer"])
+@pytest.mark.parametrize("key", ["xi", "lambda_margin", "inner_iters", "inner_tol", "max_outer"])
 def test_config_rejects_optimizer_constants(key):
-    # These are module constants of gain_optimizer, not settings.
+    # These are module constants of gain_optimizer, not settings: the config has no "opt" section.
     with pytest.raises(TypeError):
         ExperimentConfig.from_dict({"opt": {"xi": 1e-8, key: 1}})
 
@@ -199,7 +197,7 @@ def test_optimize_with_reselection_selects_at_initial_gains():
     cfg = ExperimentConfig(n=6, master_seed=13)
     _, model = build_scenario(cfg)
     a0 = GainVector.ones(6, cfg.constraint)
-    gm, trace = optimize_with_reselection(model, cfg.opt, a0)
+    gm, trace = optimize_with_reselection(model, a0)
     ref = build_global_model(model, select_retainers(model.graph, node_information(model, a0)), a0)
     assert np.array_equal(gm.row_sender, ref.row_sender) and np.array_equal(gm.row_h, ref.row_h)
     assert trace.variances[0] == ml_variance(ref, a0)
@@ -247,7 +245,7 @@ def test_cli_optimize_without_transmission_noise(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command, flag", [("optimize", "--xi"), ("consensus", "--rho")])
+@pytest.mark.parametrize("command, flag", [("optimize", "--rho"), ("consensus", "--rho")])
 def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="must be positive and finite"):
@@ -344,7 +342,7 @@ def test_cli_config_file_and_overrides(tmp_path):
     cfg_path.write_text(json.dumps({"n": 4, "master_seed": 9, "trials": 2,
                                     "constraint": "unimodular"}))
     rc = main(["optimize", "--config", str(cfg_path), "--out-dir", str(tmp_path),
-               "--xi", "1e-6", "--constraint", "fixed-energy"])
+               "--rho", "0.7", "--constraint", "fixed-energy"])
     assert rc == 0
 
 

@@ -13,8 +13,8 @@ from wsnmle.gain_optimizer import (
     LAMBDA_MARGIN,
     MAX_OUTER,
     MONOTONE_SLACK,
+    XI,
     Arrow,
-    OptimizerConfig,
     build_Q,
     lambda_max_estimate,
     optimize,
@@ -27,7 +27,7 @@ from wsnmle.selfcheck import build_R, dense_arrow, g_value
 from wsnmle.topology import build_graph, random_connected_graph
 
 
-def _gm_rows(row_h, sigma_rows, v_diag, senders=None, sigma_n_sq=None):
+def _gm_rows(row_h, sigma_rows, v_diag, senders=None):
     # Hand-assembled stacked model for closed-form checks.
     row_h = np.asarray(row_h, dtype=complex)
     m = row_h.size
@@ -41,7 +41,6 @@ def _gm_rows(row_h, sigma_rows, v_diag, senders=None, sigma_n_sq=None):
         row_h=row_h,
         sigma_rows=sigma_rows,
         v_diag=np.asarray(v_diag, dtype=float),
-        sigma_n_sq=float(sigma_rows.max() if sigma_n_sq is None else sigma_n_sq),
     )
 
 
@@ -61,29 +60,30 @@ def _eta0(gm):
     return 2.0 * float(np.sum(1.0 / gm.row_sigma_v()))
 
 
-@pytest.mark.parametrize("xi", [np.nan, np.inf], ids=["nan", "inf"])
-def test_optimizer_config_rejects_non_finite(xi):
-    with pytest.raises(ValueError, match="xi must be positive and finite"):
-        OptimizerConfig(xi=xi)
-
-
 def test_optimize_without_transmission_noise():
     # Every noiseless row carries 1/sigma_v^2 whatever the gains: the initial gains are optimal.
-    gm = _gm_rows([1.0], [0.0], [1.0], sigma_n_sq=0.0)
+    gm = _gm_rows([1.0], [0.0], [1.0])
     a_init = GainVector.ones(1, GainDomain.FIXED_ENERGY)
-    trace = optimize(gm, OptimizerConfig(), a_init)
+    trace = optimize(gm, a_init)
     assert trace.gains is a_init
     assert trace.converged and trace.outer_cycles == 0
     assert trace.variances == [1.0] and trace.inner_iters_used == [0]
     assert trace.info_final == 1.0 and trace.var_final == 1.0
+    # A lone node keeps only its noiseless self row, whatever sigma_n_sq:
+    # no retained row carries transmission noise, so no cycle runs either.
+    model, a_init, gm = _scenario(1, 901, sigma_n=0.1)
+    assert model.sigma_n_sq == 0.1 and not gm.sigma_rows.any()
+    trace = optimize(gm, a_init)
+    assert trace.gains is a_init
+    assert trace.converged and trace.outer_cycles == 0 and trace.inner_iters_used == [0]
 
 
 def test_optimize_zero_information_is_typed():
     # A row with a zero channel carries no information at any gains: the
     # variance is undefined, and the error is one the sweep counts as a failed trial.
-    gm = _gm_rows([0.0], [0.1], [1.0], sigma_n_sq=0.1)
+    gm = _gm_rows([0.0], [0.1], [1.0])
     with pytest.raises(ZeroInformation) as err:
-        optimize(gm, OptimizerConfig(), GainVector.ones(1, GainDomain.FIXED_ENERGY))
+        optimize(gm, GainVector.ones(1, GainDomain.FIXED_ENERGY))
     assert isinstance(err.value, WsnMleError)
 
 
@@ -333,7 +333,7 @@ def test_underestimated_load_raises_monotonicity_violation(monkeypatch):
     monkeypatch.setattr(gain_optimizer, "lambda_max_estimate", lambda Q, iters=200: 0.0)
     model, a, gm = _scenario(6, 300)
     with pytest.raises(MonotonicityViolation, match="loaded quadratic form decreased"):
-        optimize(gm, OptimizerConfig(), a)
+        optimize(gm, a)
 
 
 def test_information_drop_across_cycle_raises_monotonicity_violation(monkeypatch):
@@ -349,7 +349,7 @@ def test_information_drop_across_cycle_raises_monotonicity_violation(monkeypatch
     monkeypatch.setattr(gain_optimizer, "power_iterate", worse_gains)
     model, a, gm = _scenario(6, 300)
     with pytest.raises(MonotonicityViolation, match="information decreased across outer cycle"):
-        optimize(gm, OptimizerConfig(), a)
+        optimize(gm, a)
 
 
 # --- full optimization -----------------------------------------------------------
@@ -368,9 +368,10 @@ def _dense_lambda_max(Q, iters=200):
     return max(float(np.real(np.conj(v) @ (Q @ v))), 0.0)
 
 
-def _dense_optimize(gm, cfg, a_init):
+def _dense_optimize(gm, a_init):
     # The cyclic algorithm on dense matrices: y from solve(R, e1), a dense
     # (N+1)-square Q, and power steps with the loaded form re-evaluated.
+    # Without a noisy row every gain vector is optimal, and no cycle runs.
     eta0 = _eta0(gm)
     n, domain = gm.n, a_init.domain
     e1 = np.eye(gm.m + 1)[0]
@@ -386,8 +387,8 @@ def _dense_optimize(gm, cfg, a_init):
     info = information_total(gm, a)
     infos, variances, used_list = [info], [1.0 / info], [0]
     best_info, best_a = info, a
-    converged = False
-    for _ in range(MAX_OUTER):
+    converged = bool(np.all(gm.sigma_rows == 0.0))
+    for _ in range(0 if converged else MAX_OUTER):
         Q = dense_arrow(build_Q(gm, aux_tail(a)))
         lam = LAMBDA_MARGIN * _dense_lambda_max(Q) + EPS_ABS
         cur = a
@@ -412,7 +413,7 @@ def _dense_optimize(gm, cfg, a_init):
         used_list.append(used)
         if info > best_info:
             best_info, best_a = info, a
-        if abs(info - infos[-2]) <= cfg.xi:
+        if abs(info - infos[-2]) <= XI:
             converged = True
             break
     return variances, used_list, converged, best_a
@@ -423,9 +424,8 @@ def _dense_optimize(gm, cfg, a_init):
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 64])
 def test_optimize_matches_dense_oracle(n, domain, noisy_self):
     model, a, gm = _scenario(n, 900 + n, domain=domain, noisy_self=noisy_self)
-    cfg = OptimizerConfig()
-    trace = optimize(gm, cfg, a)
-    variances, used, converged, best = _dense_optimize(gm, cfg, a)
+    trace = optimize(gm, a)
+    variances, used, converged, best = _dense_optimize(gm, a)
     assert trace.outer_cycles == len(used) - 1
     assert trace.inner_iters_used == used
     assert trace.converged == converged
@@ -442,13 +442,13 @@ def test_optimize_reaches_water_filling_optimum(n):
     a = GainVector.ones(n, GainDomain.FIXED_ENERGY)
     gm = build_global_model(model, select_retainers(g, node_information(model, a)), a)
     best = water_filling_information(gm)
-    trace = optimize(gm, cfg.opt, a)
+    trace = optimize(gm, a)
     assert abs(best - trace.info_final) <= 1e-8 * best
 
 
 def test_optimize_single_unimodular_gain_converges_immediately():
     model, a, gm = _scenario(1, 500, domain=GainDomain.UNIMODULAR, noisy_self=True)
-    trace = optimize(gm, OptimizerConfig(), a)
+    trace = optimize(gm, a)
     assert trace.converged
     assert trace.outer_cycles == 1
     info = 1.0 / np.asarray(trace.variances)
@@ -459,7 +459,7 @@ def test_optimize_improves_on_all_ones():
     for seed in range(8):
         for domain in GainDomain:
             model, a, gm = _scenario(5, 600 + seed, domain=domain)
-            trace = optimize(gm, OptimizerConfig(), a)
+            trace = optimize(gm, a)
             assert trace.var_final <= ml_variance(gm, a)
             info = 1.0 / np.asarray(trace.variances)
             assert np.all(np.diff(info) >= -1e-10)
@@ -484,7 +484,7 @@ def test_optimize_two_sensor_unimodular_matches_phase_grid():
     a0 = GainVector.ones(2, GainDomain.UNIMODULAR)
     plan = select_retainers(g, node_information(model, a0))
     gm = build_global_model(model, plan, a0)
-    trace = optimize(gm, OptimizerConfig(), a0)
+    trace = optimize(gm, a0)
     # exhaustive oracle over a 720x720 phase grid
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     best = -np.inf
@@ -508,7 +508,7 @@ def test_optimize_keeps_gain_phases(n, domain, noisy_self):
     rng = np.random.default_rng(n)
     for _ in range(5):
         start = GainVector.random(n, domain, rng)
-        final = optimize(gm, OptimizerConfig(), start).gains.a
+        final = optimize(gm, start).gains.a
         assert float(np.max(np.abs(np.angle(final / start.a)))) <= 1e-12
         if domain is GainDomain.UNIMODULAR:
             assert float(np.max(np.abs(final - start.a))) <= 1e-12

@@ -211,7 +211,7 @@ def test_local_model_rows_and_self_mask():
     model = _model(g, sample_channels(g, "unit", seed=0), sigma_n=1.0, noisy_self=False)
     at_1 = slice(g.links.starts[1], g.links.starts[2])
     np.testing.assert_array_equal(g.links.sender[at_1], [0, 1, 2])
-    np.testing.assert_allclose(model.tx_noise()[at_1], [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(model.noisy_links()[at_1], [True, False, True])
     with pytest.raises(OutOfRange):
         g.links.index([(0, 2)])  # 2 is not adjacent to 0
 
