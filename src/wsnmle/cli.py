@@ -97,14 +97,21 @@ def cmd_sweep(args) -> int:
 
 
 def _sizes(text: str) -> list[int]:
-    """``--n-list``: comma-separated network sizes, each an integer of at least 1."""
+    """``--n-list``: one or more comma-separated network sizes, each an integer of at least 1."""
     try:
         sizes = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         sizes = [0]
-    if any(n < 1 for n in sizes):
+    if not sizes or min(sizes) < 1:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers of at least 1, got {text!r}")
     return sizes
+
+
+def _cases(text: str) -> int:
+    """``--cases``: random cases per property, an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def cmd_selfcheck(args) -> int:
@@ -162,7 +169,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the randomized property suite")
-    p.add_argument("--cases", type=int, default=100, help="random cases per property")
+    p.add_argument("--cases", type=_cases, default=100, help="random cases per property")
     p.set_defaults(fn=cmd_selfcheck)
     return parser
 

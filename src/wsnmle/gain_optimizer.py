@@ -187,16 +187,9 @@ def lambda_max_estimate(Q: Arrow) -> float:
     return max(lam, floor)
 
 
-def project_gains(ahat: np.ndarray, domain: GainDomain):
-    """Map an unconstrained update onto the gain domain.
-
-    Fixed energy rescales onto the sphere of squared norm N (returns
-    ``None`` for the zero vector, which has no projection); unimodular
-    keeps only the phases, mapping zero entries to 1.
-    """
+def project_gains(ahat: np.ndarray):
+    """Rescale onto the fixed-energy sphere ``||a||^2 = N``; ``None`` for the zero vector."""
     ahat = np.asarray(ahat, dtype=complex)
-    if domain is GainDomain.UNIMODULAR:
-        return np.exp(1j * np.angle(ahat))
     norm = np.linalg.norm(ahat)
     if norm == 0.0:
         return None
@@ -204,7 +197,7 @@ def project_gains(ahat: np.ndarray, domain: GainDomain):
 
 
 def power_iterate(a: GainVector, Q: Arrow):
-    """Maximize the loaded quadratic form over the gain domain.
+    """Maximize the loaded quadratic form over the fixed-energy sphere.
 
     Repeats ``a <- project(first N components of (lambda I - Q) (a, 1))``
     until no gain moves by more than :data:`INNER_TOL` in a step, or for
@@ -213,8 +206,9 @@ def power_iterate(a: GainVector, Q: Arrow):
     gains is ``(a,1)^H (lambda I - Q) (a,1) = Re<a, v - border> + lambda``,
     so each step costs one O(N) product.  The loaded form never decreases
     across iterations (a drop beyond a small slack raises
-    :class:`MonotonicityViolation`).  Returns the new gains and the number
-    of iterations used.
+    :class:`MonotonicityViolation`).  A feasible start from either domain
+    has squared norm N, so it already lies on the sphere.  Returns the new
+    fixed-energy gains and the number of iterations used.
     """
     if Q.top.shape != (a.n,) or Q.border.shape != (a.n,):
         raise DimensionMismatch(f"arrow of size {Q.top.size + 1} for {a.n} gains")
@@ -225,7 +219,7 @@ def power_iterate(a: GainVector, Q: Arrow):
     obj = float(np.real(np.vdot(cur, v - Q.border))) + lam
     used = 0
     for t in range(INNER_ITERS):
-        new = project_gains(v, a.domain)
+        new = project_gains(v)
         used = t + 1
         if new is None:
             break
@@ -238,7 +232,7 @@ def power_iterate(a: GainVector, Q: Arrow):
         obj = obj_new
         if step <= INNER_TOL:
             break
-    return GainVector(cur, a.domain), used
+    return GainVector(cur, GainDomain.FIXED_ENERGY), used
 
 
 def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
@@ -249,10 +243,10 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     and never decreases.  The run stops once one outer cycle changes the
     information by at most :data:`XI`, or after :data:`MAX_OUTER` cycles.
     The selection plan baked into ``gm`` stays fixed for the whole run.
-    When no retained row carries transmission noise, every row carries
-    ``1/sigma_v^2`` whatever the gains, so every feasible gain vector is
-    optimal: the run records the initial information and returns
-    ``a_init``, converged after zero outer cycles.
+    A row's information depends on the gains only through its sender's
+    power ``|a_s|^2``, and only if the row is noisy: with unimodular gains
+    (every power 1) or no noisy retained row, every feasible gain vector
+    is optimal, and the run returns ``a_init``, converged after 0 cycles.
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
@@ -271,7 +265,7 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
 
     a = best_a = a_init
     info_prev = best_info = record(a, 0)
-    trace.converged = not gm.sigma_rows.any()
+    trace.converged = a_init.domain is GainDomain.UNIMODULAR or not gm.sigma_rows.any()
     for _ in range(0 if trace.converged else MAX_OUTER):
         a, used = power_iterate(a, build_Q(gm, update_y(gm, a)))
         info = record(a, used)

@@ -89,8 +89,6 @@ class GainVector:
         if domain is GainDomain.UNIMODULAR:
             return cls(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)), domain)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if not np.any(np.abs(raw) > 0):
-            raw = np.ones(n, dtype=complex)
         return cls(np.sqrt(n) * raw / np.linalg.norm(raw), domain)
 
 

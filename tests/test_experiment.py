@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -226,12 +227,19 @@ def test_cli_topology_and_graph_file(tmp_path):
     assert g.n == 8 and model["name"] == "geometric"
 
 
-def test_cli_optimize(tmp_path):
+def test_cli_optimize(tmp_path, capsys):
     rc = main(["optimize", "--n", "5", "--seed", "22", "--out-dir", str(tmp_path)])
     assert rc == 0
     header = (tmp_path / "opt_trace.csv").read_text().splitlines()[0]
     assert header == "outer_iter,variance,inner_iters_used"
     assert (tmp_path / "gains.csv").exists()
+    # Unimodular gains cannot change the information: no cycle runs, and
+    # the trace holds the initial gains alone.
+    out = tmp_path / "unimodular"
+    capsys.readouterr()
+    assert main(["optimize", "--constraint", "unimodular", "--n", "8", "--seed", "7", "--out-dir", str(out)]) == 0
+    assert (out / "opt_trace.csv").read_text().splitlines() == [header, "0,0.06808172409917895,0"]
+    assert capsys.readouterr().out.startswith("n=8 cycles=0 converged=True ")
 
 
 def test_cli_optimize_without_transmission_noise(tmp_path):
@@ -321,7 +329,7 @@ def test_cli_sweep_rejects_zero_size(tmp_path, capsys):
     assert err.startswith("usage: wsnmle sweep") and "integers of at least 1, got '0,4'" in err
 
 
-@pytest.mark.parametrize("n_list", ["4,x", "4,-1", "4.0", "x"], ids=["word", "negative", "float", "only-word"])
+@pytest.mark.parametrize("n_list", ["4,x", "4,-1", "4.0", "x", ","], ids=["word", "negative", "float", "only-word", "no-size"])
 def test_cli_sweep_rejects_bad_n_list(tmp_path, capsys, n_list):
     err = _cli_sweep_exit(tmp_path, capsys, n_list)
     assert "usage: wsnmle sweep" in err and "Traceback" not in err
@@ -353,6 +361,17 @@ def test_cli_selfcheck(tmp_path, capsys):
     assert out.count("[PASS]") == 7
 
 
+@pytest.mark.parametrize("cases", ["0", "-3", "x"])
+def test_cli_selfcheck_rejects_case_count(tmp_path, capsys, cases):
+    # A run that checks no case must not report seven passes.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main(["selfcheck", "--cases", cases, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert stop.value.code == 2 and not out.exists()
+    assert "usage: wsnmle selfcheck" in err and f"expected an integer of at least 1, got {cases!r}" in err
+
+
 def test_cli_import_leaves_selfcheck_and_parser_unbuilt():
     # Only ``wsnmle selfcheck`` loads the property suite, and the parser is
     # built on the first main() call, not at import.
@@ -363,6 +382,18 @@ def test_cli_import_leaves_selfcheck_and_parser_unbuilt():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_has_no_assert_statement():
+    # Checks in the package raise typed errors: python -O strips an assert.
+    package = Path(experiment.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # --- property suite and mutation sanity ---------------------------------------
