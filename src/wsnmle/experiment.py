@@ -20,16 +20,9 @@ import numpy as np
 
 from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle
 from .errors import WsnMleError
-from .fusion import (
-    build_global_model,
-    decompose_information,
-    ml_estimate,
-    ml_variance,
-    sample_received,
-    select_retainers,
-)
+from .fusion import compress, decompose_information, ml_estimate, ml_variance, sample_received
 from .gain_optimizer import OptTrace, optimize
-from .network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
+from .network_model import GainDomain, GainVector, NetworkModel, sample_channels
 from .topology import Graph, random_connected_graph, save_graph
 
 __all__ = [
@@ -136,13 +129,13 @@ def build_scenario(cfg: ExperimentConfig, n: int | None = None, trial: int = 0):
 
 
 def optimize_with_reselection(model: NetworkModel, a_init: GainVector):
-    """The gain-design step: select rows at ``a_init``, then optimize once.
+    """The gain-design step: compress at ``a_init``, then optimize once.
 
-    The retained rows are chosen at the initial gains and stay frozen for
-    the whole optimization run.  Returns ``(global_model, trace)``.
+    The retained rows are chosen at the initial gains (:func:`compress`)
+    and stay frozen for the whole optimization run.  Returns
+    ``(global_model, trace)``.
     """
-    plan = select_retainers(model.graph, node_information(model, a_init))
-    gm = build_global_model(model, plan, a_init)
+    gm = compress(model, a_init)
     return gm, optimize(gm, a_init)
 
 
@@ -249,10 +242,10 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     For every network size and trial, samples a fresh scenario and
     reports the variance under optimized, all-ones, and random feasible
     gains, plus the fraction of trials the optimizer improved on the
-    all-ones baseline.  Per-trial failures are counted and skipped.
-    Results are keyed by trial index, so the output does not depend on
-    completion order.  Every size must be an integer of at least 1; any
-    other entry raises ``ValueError`` before the output directory exists.
+    all-ones baseline.  Trials run one after another in index order;
+    failures are counted and skipped.  Every size must be an integer of
+    at least 1; any other entry raises ``ValueError`` before the output
+    directory exists.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -262,25 +255,22 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in n_list:
-        per_trial: dict[int, tuple[float, float, float]] = {}
+        done: list[tuple[float, float, float]] = []
         failures = 0
         for trial in range(cfg.trials):
             try:
-                g, model = build_scenario(cfg, n=n, trial=trial)
+                _, model = build_scenario(cfg, n=n, trial=trial)
                 _, trace = optimize_with_reselection(model, GainVector.ones(n, cfg.constraint))
                 var_ones, var_opt = trace.variances[0], trace.var_final
                 rng = np.random.default_rng(
                     np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),))
                 )
                 ar = GainVector.random(n, cfg.constraint, rng)
-                plan_r = select_retainers(g, node_information(model, ar))
-                gm_r = build_global_model(model, plan_r, ar)
-                var_rand = ml_variance(gm_r, ar)
+                var_rand = ml_variance(compress(model, ar), ar)
             except WsnMleError:
                 failures += 1
                 continue
-            per_trial[trial] = (var_opt, var_ones, var_rand)
-        done = [per_trial[t] for t in sorted(per_trial)]
+            done.append((var_opt, var_ones, var_rand))
         if done:
             arr = np.array(done)
             improved = float(np.mean(arr[:, 0] <= arr[:, 1]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroInformation
-from .network_model import GainVector, NetworkModel, link_information
+from .network_model import GainVector, NetworkModel, gain_array, link_information, node_information
 from .topology import Graph
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "GlobalModel",
     "select_retainers",
     "build_global_model",
+    "compress",
     "noise_cov_rows",
     "information_total",
     "ml_estimate",
@@ -125,19 +126,24 @@ def build_global_model(model: NetworkModel, plan: SelectionPlan, gains: GainVect
     )
 
 
-def _gain_array(a) -> np.ndarray:
-    if isinstance(a, GainVector):
-        return a.a
-    return np.asarray(a, dtype=complex)
+def compress(model: NetworkModel, gains: GainVector) -> GlobalModel:
+    """Information-driven compression at ``gains``: the global model of the rows it keeps.
+
+    Each node's information value under ``gains`` picks the retainers
+    (:func:`select_retainers`), whose rows are then stacked
+    (:func:`build_global_model`).
+    """
+    plan = select_retainers(model.graph, node_information(model, gains))
+    return build_global_model(model, plan, gains)
 
 
 def _row_terms(gm: GlobalModel, a):
     # Signal h a, information and combined noise variance of every row.
-    a = _gain_array(a)
+    a = gain_array(a)
     if a.size != gm.n:
         raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
     signal = gm.row_h * a[gm.row_sender]
-    return (signal, *link_information(signal, gm.row_sigma_v(), gm.sigma_rows))
+    return (signal, *link_information(np.abs(signal), gm.row_sigma_v(), gm.sigma_rows))
 
 
 def noise_cov_rows(gm: GlobalModel, a) -> np.ndarray:
@@ -209,7 +215,7 @@ def sample_received(
     draw.  Returns shape ``(M,)`` or ``(size, M)``; deterministic per
     seed.
     """
-    a = _gain_array(gains)
+    a = gain_array(gains)
     if a.size != gm.n:
         raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))

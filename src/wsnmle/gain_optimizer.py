@@ -23,10 +23,10 @@ form ``-Ha / C(a)``.  For fixed ``ytilde`` the objective is, up to a
 constant, an exact quadratic in the gains through an (N+1)-dimensional
 arrow matrix ``Q``; diagonally loading ``Q`` turns the constrained
 quadratic maximization into power-method-like iterations whose objective
-never decreases.  The load is a margin times the exact largest
-eigenvalue of ``Q``, the largest root of the arrow's secular equation
-(:func:`lambda_max_estimate`).  Alternating the two updates drives ``f``
-monotonically up.  Neither matrix is ever formed densely; the dense
+never decreases.  The load (:func:`diagonal_load`) is a margin times
+the exact largest eigenvalue of ``Q``, the largest root of the arrow's
+secular equation (:func:`lambda_max_estimate`).  Alternating the two
+updates drives ``f`` monotonically up.  Neither matrix is ever formed densely; the dense
 references that check these closed forms (``build_R``, ``g_value`` and
 ``dense_arrow``) live in :mod:`wsnmle.selfcheck`.
 """
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MonotonicityViolation, ZeroInformation
 from .fusion import GlobalModel, information_total, noise_cov_rows
-from .network_model import GainDomain, GainVector
+from .network_model import GainDomain, GainVector, gain_array, project_gains
 
 __all__ = [
     "OptTrace",
@@ -49,7 +49,7 @@ __all__ = [
     "Arrow",
     "build_Q",
     "lambda_max_estimate",
-    "project_gains",
+    "diagonal_load",
     "power_iterate",
     "optimize",
 ]
@@ -98,7 +98,7 @@ def update_y(gm: GlobalModel, a) -> np.ndarray:
     tail ``ytilde = -Ha / cov``; the leading 1 is implied.  Raises
     :class:`SingularCovariance` if some row has zero combined noise.
     """
-    a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
+    a = gain_array(a)
     return -gm.row_h * a[gm.row_sender] / noise_cov_rows(gm, a)
 
 
@@ -187,13 +187,13 @@ def lambda_max_estimate(Q: Arrow) -> float:
     return max(lam, floor)
 
 
-def project_gains(ahat: np.ndarray):
-    """Rescale onto the fixed-energy sphere ``||a||^2 = N``; ``None`` for the zero vector."""
-    ahat = np.asarray(ahat, dtype=complex)
-    norm = np.linalg.norm(ahat)
-    if norm == 0.0:
-        return None
-    return np.sqrt(ahat.size) * ahat / norm
+def diagonal_load(Q: Arrow) -> float:
+    """The load ``lambda`` that makes ``lambda I - Q`` positive definite.
+
+    :data:`LAMBDA_MARGIN` times the exact largest eigenvalue of ``Q``
+    (:func:`lambda_max_estimate`), plus the floor :data:`EPS_ABS`.
+    """
+    return LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
 
 
 def power_iterate(a: GainVector, Q: Arrow):
@@ -212,7 +212,7 @@ def power_iterate(a: GainVector, Q: Arrow):
     """
     if Q.top.shape != (a.n,) or Q.border.shape != (a.n,):
         raise DimensionMismatch(f"arrow of size {Q.top.size + 1} for {a.n} gains")
-    lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
+    lam = diagonal_load(Q)
     load = lam - Q.top
     cur = a.a.copy()
     v = load * cur - Q.border

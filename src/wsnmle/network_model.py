@@ -32,6 +32,8 @@ __all__ = [
     "GainDomain",
     "GainVector",
     "NetworkModel",
+    "gain_array",
+    "project_gains",
     "sample_channels",
     "link_information",
     "node_information",
@@ -88,8 +90,23 @@ class GainVector:
         """Random feasible gains."""
         if domain is GainDomain.UNIMODULAR:
             return cls(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)), domain)
-        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return cls(np.sqrt(n) * raw / np.linalg.norm(raw), domain)
+        return cls(project_gains(rng.standard_normal(n) + 1j * rng.standard_normal(n)), domain)
+
+
+def project_gains(ahat: np.ndarray):
+    """Rescale onto the fixed-energy sphere ``||a||^2 = N``; ``None`` for the zero vector."""
+    ahat = np.asarray(ahat, dtype=complex)
+    norm = np.linalg.norm(ahat)
+    if norm == 0.0:
+        return None
+    return np.sqrt(ahat.size) * ahat / norm
+
+
+def gain_array(a) -> np.ndarray:
+    """The complex gain array of a :class:`GainVector` or of any array-like."""
+    if isinstance(a, GainVector):
+        return a.a
+    return np.asarray(a, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -190,23 +207,20 @@ def sample_channels(
     return h
 
 
-def link_information(signal: np.ndarray, sigma_v: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Information and combined noise variance of each reception.
+def link_information(power: np.ndarray, cov: np.ndarray, tx, where=True) -> tuple[np.ndarray, np.ndarray]:
+    """Information and combined noise variance of each reception, in place.
 
     A reception carrying ``signal = h a`` from a sensor with
     observation-noise variance ``sigma_v``, plus transmission noise of
     variance ``tx``, has noise variance ``cov = |signal|^2 sigma_v + tx``
-    and information ``|signal|^2 / cov``.  Returns ``(info, cov)``.
-    Raises :class:`SingularCovariance` if any ``cov`` is zero (a zeroed
-    gain on a reception without transmission noise).
+    and information ``|signal|^2 / cov``.  ``power`` holds ``|signal|``
+    and becomes the information; ``cov`` holds ``sigma_v`` and becomes
+    the combined variance; ``tx`` is added only where ``where`` holds
+    (adding a zero changes no bit).  Both must be float arrays the caller
+    owns.  Returns ``(info, cov)``.  Raises :class:`SingularCovariance` if
+    any ``cov`` is zero (a zeroed gain on a reception without
+    transmission noise).
     """
-    return _information(np.abs(signal), np.array(sigma_v, dtype=float), tx)
-
-
-def _information(power: np.ndarray, cov: np.ndarray, tx, where=True) -> tuple[np.ndarray, np.ndarray]:
-    # link_information in place: ``power`` holds |signal| and becomes the
-    # information, ``cov`` holds sigma_v and becomes the combined variance;
-    # ``tx`` is added where ``where`` holds (adding a zero changes no bit).
     np.square(power, out=power)
     np.add(np.multiply(power, cov, out=cov), tx, out=cov, where=where)
     if np.any(cov <= 0.0):
@@ -230,6 +244,6 @@ def node_information(model: NetworkModel, gains: GainVector) -> np.ndarray:
     for lo in range(0, power.size, _BLOCK):
         signal = gains.a[links.sender[lo : lo + _BLOCK]]  # indexing: np.take copies read-only indices
         np.abs(np.multiply(model.h[lo : lo + _BLOCK], signal, out=signal), out=power[lo : lo + _BLOCK])
-    info, _ = _information(power, model.sigma_v_sq[links.sender], model.sigma_n_sq, where=model.noisy_links())
+    info, _ = link_information(power, model.sigma_v_sq[links.sender], model.sigma_n_sq, where=model.noisy_links())
     return np.add.reduceat(info, links.starts)
 

@@ -19,31 +19,10 @@ import numpy as np
 
 from .consensus import admm_rounds
 from .errors import DimensionMismatch, WsnMleError
-from .fusion import (
-    GlobalModel,
-    build_global_model,
-    decompose_information,
-    information_total,
-    ml_variance,
-    noise_cov_rows,
-    select_retainers,
-)
-from .gain_optimizer import (
-    EPS_ABS,
-    LAMBDA_MARGIN,
-    Arrow,
-    build_Q,
-    lambda_max_estimate,
-    optimize,
-    update_y,
-)
-from .network_model import (
-    GainDomain,
-    GainVector,
-    NetworkModel,
-    node_information,
-    sample_channels,
-)
+from .experiment import optimize_with_reselection
+from .fusion import GlobalModel, compress, decompose_information, information_total, ml_variance, noise_cov_rows
+from .gain_optimizer import Arrow, build_Q, diagonal_load, update_y
+from .network_model import GainDomain, GainVector, NetworkModel, gain_array, node_information, sample_channels
 from .topology import random_connected_graph
 
 __all__ = ["CheckResult", "PROPERTY_CHECKS", "run_all", "build_R", "g_value", "dense_arrow"]
@@ -62,7 +41,7 @@ def build_R(gm: GlobalModel, a, eta0: float) -> np.ndarray:
     The paper's reference form; the optimizer itself only ever uses its
     closed-form consequences (:func:`~wsnmle.gain_optimizer.update_y`).
     """
-    a = a.a if isinstance(a, GainVector) else np.asarray(a, dtype=complex)
+    a = gain_array(a)
     if a.size != gm.n:
         raise DimensionMismatch(f"{a.size} gains for {gm.n} nodes")
     ha = gm.row_h * a[gm.row_sender]
@@ -111,9 +90,7 @@ def _random_scenario(rng: np.random.Generator, n_max: int, sigma_n: float = 0.1)
 def _random_global(rng, n_max, domain=GainDomain.FIXED_ENERGY):
     g, model = _random_scenario(rng, n_max)
     a = GainVector.random(g.n, domain, rng)
-    plan = select_retainers(g, node_information(model, a))
-    gm = build_global_model(model, plan, a)
-    return g, model, a, gm
+    return g, model, a, compress(model, a)
 
 
 def check_topology(rng, cases, n_max):
@@ -251,9 +228,7 @@ def check_optimizer(rng, cases, n_max):
         domain = GainDomain.FIXED_ENERGY if rng.random() < 0.5 else GainDomain.UNIMODULAR
         g, model = _random_scenario(rng, n_max)
         a0 = GainVector.ones(g.n, domain)
-        plan = select_retainers(g, node_information(model, a0))
-        gm = build_global_model(model, plan, a0)
-        trace = optimize(gm, a0)
+        gm, trace = optimize_with_reselection(model, a0)
         info = 1.0 / np.asarray(trace.variances)
         if np.any(np.diff(info) < -1e-10):
             return f"information decreased along the trace (max drop {-np.min(np.diff(info)):.2e})"
@@ -267,8 +242,7 @@ def check_optimizer(rng, cases, n_max):
         if trace.var_final > ml_variance(gm, a0):
             return "optimization did not improve on the initial gains"
         Q = build_Q(gm, update_y(gm, a))
-        lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
-        mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - dense_arrow(Q))))
+        mineig = float(np.min(np.linalg.eigvalsh(diagonal_load(Q) * np.eye(gm.n + 1) - dense_arrow(Q))))
         if mineig < -1e-9:
             return f"diagonal load leaves a negative eigenvalue {mineig:.2e}"
     return None

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnmle import experiment
+from wsnmle import experiment, selfcheck
 from wsnmle.cli import main
 from wsnmle.consensus import AdmmConfig, DecentralizedRun
 from wsnmle.errors import ZeroInformation
@@ -25,6 +25,7 @@ from wsnmle.experiment import (
 )
 from wsnmle.fusion import (
     build_global_model,
+    compress,
     decompose_information,
     ml_estimate,
     ml_variance,
@@ -201,6 +202,12 @@ def test_optimize_with_reselection_selects_at_initial_gains():
     gm, trace = optimize_with_reselection(model, a0)
     ref = build_global_model(model, select_retainers(model.graph, node_information(model, a0)), a0)
     assert np.array_equal(gm.row_sender, ref.row_sender) and np.array_equal(gm.row_h, ref.row_h)
+    # compress is that select-then-build, at any gains.
+    a = GainVector.random(6, GainDomain.FIXED_ENERGY, np.random.default_rng(3))
+    got = compress(model, a)
+    want = build_global_model(model, select_retainers(model.graph, node_information(model, a)), a)
+    for key in ("row_receiver", "row_sender", "row_h", "sigma_rows", "v_diag"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
     assert trace.variances[0] == ml_variance(ref, a0)
     assert trace.var_final < trace.variances[0]
 
@@ -396,6 +403,31 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
+def test_package_has_no_unused_import():
+    # The project runs no linter, and consolidations leave imports behind: every
+    # imported name is read somewhere in its module or re-exported in __all__.
+    package = Path(experiment.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # imports to re-export them
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read | exported]
+    assert unused == []
+
+
 # --- property suite and mutation sanity ---------------------------------------
 
 
@@ -419,6 +451,14 @@ def test_selfcheck_catches_sign_error_in_multiplier_update():
     results = run_all(seed=0, cases=5, overrides={"consensus": {"rounds_fn": broken_rounds}})
     by_name = {r.name: r for r in results}
     assert not by_name["consensus"].passed
+
+
+def test_selfcheck_catches_underestimated_diagonal_load(monkeypatch):
+    # check_optimizer tests the package's load rule, so a load of 0 must fail it.
+    monkeypatch.setattr(selfcheck, "diagonal_load", lambda Q: 0.0)
+    by_name = {r.name: r for r in run_all(seed=0, cases=5)}
+    assert not by_name["gain_optimizer"].passed
+    assert by_name["gain_optimizer"].detail.startswith("diagonal load leaves a negative eigenvalue")
 
 
 def test_selfcheck_catches_wrong_recast_orientation():

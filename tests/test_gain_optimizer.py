@@ -16,6 +16,7 @@ from wsnmle.gain_optimizer import (
     XI,
     Arrow,
     build_Q,
+    diagonal_load,
     lambda_max_estimate,
     optimize,
     power_iterate,
@@ -305,7 +306,7 @@ def test_power_iterate_monotone_loaded_form():
         # A feasible start from either domain lies on the fixed-energy sphere.
         for domain in GainDomain:
             start = GainVector.random(5, domain, rng)
-            lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
+            lam = diagonal_load(Q)
             w0 = np.append(start.a, 1.0)
             before = float(np.real(np.conj(w0) @ (lam * w0 - Qd @ w0)))
             out, used = power_iterate(start, Q)
@@ -323,7 +324,8 @@ def test_diagonal_load_keeps_matrix_psd():
         rng = np.random.default_rng(seed)
         tail = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         Q = build_Q(gm, tail)
-        lam = LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
+        lam = diagonal_load(Q)
+        assert lam == LAMBDA_MARGIN * lambda_max_estimate(Q) + EPS_ABS
         mineig = float(np.min(np.linalg.eigvalsh(lam * np.eye(gm.n + 1) - dense_arrow(Q))))
         assert mineig >= -1e-9
 
