@@ -242,7 +242,10 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     For every network size and trial, samples a fresh scenario and
     reports the variance under optimized, all-ones, and random feasible
     gains, plus the fraction of trials the optimizer improved on the
-    all-ones baseline.  Trials run one after another in index order;
+    all-ones baseline.  Random gains are scored on the rows compression
+    keeps at them: the design step's rows when they are unimodular (every
+    power ``|a_s|^2`` is 1), so only fixed-energy sweeps compress twice.
+    Trials run one after another in index order;
     failures are counted and skipped.  Every size must be an integer of
     at least 1; any other entry raises ``ValueError`` before the output
     directory exists.
@@ -260,13 +263,18 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
         for trial in range(cfg.trials):
             try:
                 _, model = build_scenario(cfg, n=n, trial=trial)
-                _, trace = optimize_with_reselection(model, GainVector.ones(n, cfg.constraint))
+                gm, trace = optimize_with_reselection(model, GainVector.ones(n, cfg.constraint))
                 var_ones, var_opt = trace.variances[0], trace.var_final
                 rng = np.random.default_rng(
                     np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),))
                 )
                 ar = GainVector.random(n, cfg.constraint, rng)
-                var_rand = ml_variance(compress(model, ar), ar)
+                # Unimodular gains keep the design's rows: a row depends on the
+                # gains only through |a_s|^2, 1 up to rounding (a tie a few ulps
+                # apart is a rounding accident either way).
+                if cfg.constraint is not GainDomain.UNIMODULAR:
+                    gm = compress(model, ar)
+                var_rand = ml_variance(gm, ar)
             except WsnMleError:
                 failures += 1
                 continue

@@ -212,6 +212,36 @@ def test_optimize_with_reselection_selects_at_initial_gains():
     assert trace.var_final < trace.variances[0]
 
 
+@pytest.mark.parametrize("n", [2, 16, 64, 200])
+def test_unimodular_gains_keep_the_all_ones_rows(n):
+    # A row depends on the gains only through |a_s|^2, 1 up to rounding for
+    # every unimodular gain: the sweep scores its random baseline on these rows.
+    ones = GainVector.ones(n, GainDomain.UNIMODULAR)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for noisy_self_link in (False, True):
+            for sigma_n_sq in (0.0, 0.1):
+                cfg = ExperimentConfig(master_seed=seed, noisy_self_link=noisy_self_link, sigma_n_sq=sigma_n_sq)
+                _, model = build_scenario(cfg, n=n)
+                want = compress(model, ones)
+                got = compress(model, GainVector.random(n, GainDomain.UNIMODULAR, rng))
+                for key in ("row_receiver", "row_sender", "row_h", "sigma_rows"):
+                    assert np.array_equal(getattr(got, key), getattr(want, key)), (seed, key)
+
+
+def test_unimodular_sweep_random_baseline_matches_compression_at_random_gains(tmp_path):
+    cfg = ExperimentConfig(constraint=GainDomain.UNIMODULAR, trials=3, master_seed=17)
+    rows = run_variance_sweep(cfg, [16, 200], tmp_path)
+    for row in rows:
+        n, variances = row["n"], []
+        for trial in range(cfg.trials):
+            _, model = build_scenario(cfg, n=n, trial=trial)
+            rng = np.random.default_rng(np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),)))
+            ar = GainVector.random(n, cfg.constraint, rng)
+            variances.append(ml_variance(compress(model, ar), ar))
+        assert row["failures"] == 0 and row["mean_var_random"] == np.mean(variances)
+
+
 def test_sweep_without_transmission_noise(tmp_path):
     # Noiseless rows each carry 1/sigma_v^2; compression keeps 2n of them, whatever the gains.
     cfg = ExperimentConfig(sigma_n_sq=0.0, trials=3, master_seed=5)

@@ -83,6 +83,22 @@ def test_channel_second_moment():
     assert 0.97 <= mean_sq <= 1.03
 
 
+@pytest.mark.parametrize("reciprocal", [False, True])
+def test_channel_stream_spans_draw_blocks(reciprocal):
+    # Drawn a block of edges at a time, the channels are still one call's
+    # stream: row k of the draws goes to edge k's links.
+    g = random_connected_graph(256, radius=0.5, seed=3)
+    m, seed = g.num_edges, 21
+    assert m > 4096
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    draws = rng.normal(0.0, 0.7 / np.sqrt(2.0), size=(m, 2 if reciprocal else 4)).view(complex)
+    want = np.ones(g.links.sender.size, dtype=complex)
+    want[g.links.forward] = draws[:, 0]
+    want[g.links.reverse[g.links.forward]] = draws[:, -1]
+    got = sample_channels(g, sigma_h=0.7, reciprocal=reciprocal, seed=seed)
+    assert got.tobytes() == want.tobytes()
+
+
 # --- model validation -------------------------------------------------------
 
 
