@@ -42,14 +42,9 @@ def _load_config(args) -> ExperimentConfig:
         if args.config
         else ExperimentConfig()
     )
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.trials is not None:
-        cfg = dataclasses.replace(cfg, trials=args.trials)
-    if args.n is not None:
-        cfg = dataclasses.replace(cfg, n=args.n)
-    if args.constraint is not None:
-        cfg = dataclasses.replace(cfg, constraint=GainDomain(args.constraint))
+    for flag, key in (("seed", "master_seed"), ("trials", "trials"), ("n", "n"), ("constraint", "constraint")):
+        if getattr(args, flag) is not None:  # ExperimentConfig turns a constraint name into its GainDomain
+            cfg = dataclasses.replace(cfg, **{key: getattr(args, flag)})
     if args.rho is not None:
         cfg = dataclasses.replace(cfg, admm=dataclasses.replace(cfg.admm, rho=args.rho))
     return cfg

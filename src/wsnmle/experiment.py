@@ -21,7 +21,7 @@ import numpy as np
 from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle
 from .errors import WsnMleError
 from .fusion import compress, decompose_information, ml_estimate, ml_variance, sample_received
-from .gain_optimizer import OptTrace, optimize
+from .gain_optimizer import OptTrace, gains_cannot_move, optimize
 from .network_model import GainDomain, GainVector, NetworkModel, sample_channels
 from .topology import Graph, random_connected_graph, save_graph
 
@@ -139,8 +139,12 @@ def optimize_with_reselection(model: NetworkModel, a_init: GainVector):
     return gm, optimize(gm, a_init)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, as ``\n``-terminated CSV; floats as ``repr(float(x))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def recorded_run(g: Graph, cfg: AdmmConfig, I0, P0) -> DecentralizedRun:
@@ -181,20 +185,13 @@ def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex)
 
 def write_opt_trace(path, trace: OptTrace) -> None:
     """Optimizer CSV: outer_iter, variance, inner_iters_used."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["outer_iter", "variance", "inner_iters_used"])
-        for k, (var, used) in enumerate(zip(trace.variances, trace.inner_iters_used)):
-            w.writerow([k, _fmt(var), used])
+    rows = zip(range(len(trace.variances)), trace.variances, trace.inner_iters_used)
+    _write_csv(path, ("outer_iter", "variance", "inner_iters_used"), rows)
 
 
 def write_gains(path, gains: GainVector) -> None:
     """Gains CSV: node, re, im."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["node", "re", "im"])
-        for i, z in enumerate(gains.a.tolist()):
-            w.writerow([i, _fmt(z.real), _fmt(z.imag)])
+    _write_csv(path, ("node", "re", "im"), ((i, z.real, z.imag) for i, z in enumerate(gains.a.tolist())))
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
@@ -243,9 +240,10 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     reports the variance under optimized, all-ones, and random feasible
     gains, plus the fraction of trials the optimizer improved on the
     all-ones baseline.  Random gains are scored on the rows compression
-    keeps at them: the design step's rows when they are unimodular (every
-    power ``|a_s|^2`` is 1), so only fixed-energy sweeps compress twice.
-    Trials run one after another in index order;
+    keeps at them.  A trial whose gains cannot move the variance
+    (:func:`~wsnmle.gain_optimizer.gains_cannot_move` on the design
+    step's rows) draws no random gains: all three columns get the
+    variance at all-ones.  Trials run one after another in index order;
     failures are counted and skipped.  Every size must be an integer of
     at least 1; any other entry raises ``ValueError`` before the output
     directory exists.
@@ -265,34 +263,23 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
                 _, model = build_scenario(cfg, n=n, trial=trial)
                 gm, trace = optimize_with_reselection(model, GainVector.ones(n, cfg.constraint))
                 var_ones, var_opt = trace.variances[0], trace.var_final
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),))
-                )
-                ar = GainVector.random(n, cfg.constraint, rng)
-                # Unimodular gains keep the design's rows: a row depends on the
-                # gains only through |a_s|^2, 1 up to rounding (a tie a few ulps
-                # apart is a rounding accident either way).
-                if cfg.constraint is not GainDomain.UNIMODULAR:
-                    gm = compress(model, ar)
-                var_rand = ml_variance(gm, ar)
+                if gains_cannot_move(gm, cfg.constraint):  # optimize ran no cycle: var_opt is var_ones
+                    var_rand = var_ones
+                else:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),))
+                    )
+                    ar = GainVector.random(n, cfg.constraint, rng)
+                    var_rand = ml_variance(compress(model, ar), ar)
             except WsnMleError:
                 failures += 1
                 continue
             done.append((var_opt, var_ones, var_rand))
-        if done:
-            arr = np.array(done)
-            improved = float(np.mean(arr[:, 0] <= arr[:, 1]))
-            means = arr.mean(axis=0)
-        else:
-            improved = 0.0
-            means = np.full(3, np.nan)
+        arr = np.array(done).reshape(-1, 3)
+        means = arr.mean(axis=0) if done else np.full(3, np.nan)
+        improved = float(np.mean(arr[:, 0] <= arr[:, 1])) if done else 0.0
         rows.append(dict(zip(SWEEP_COLUMNS, (n, len(done), failures, *means.tolist(), improved))))
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            values = list(row.values())
-            w.writerow(values[:3] + [_fmt(v) for v in values[3:]])
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
     return rows
 
 
@@ -301,10 +288,7 @@ def write_topology(cfg: ExperimentConfig, out_dir) -> Path:
     g, seed = _trial_graph(cfg, cfg.n, 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"name": cfg.topology_model}
-    meta["radius" if cfg.topology_model == "geometric" else "p"] = (
-        cfg.radius if cfg.topology_model == "geometric" else cfg.p
-    )
+    key = "radius" if cfg.topology_model == "geometric" else "p"  # the model's one parameter
     path = out / "graph.json"
-    save_graph(g, path, seed=seed, model=meta)
+    save_graph(g, path, seed=seed, model={"name": cfg.topology_model, key: getattr(cfg, key)})
     return path

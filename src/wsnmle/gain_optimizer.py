@@ -51,6 +51,7 @@ __all__ = [
     "lambda_max_estimate",
     "diagonal_load",
     "power_iterate",
+    "gains_cannot_move",
     "optimize",
 ]
 
@@ -235,6 +236,15 @@ def power_iterate(a: GainVector, Q: Arrow):
     return GainVector(cur, GainDomain.FIXED_ENERGY), used
 
 
+def gains_cannot_move(gm: GlobalModel, domain: GainDomain) -> bool:
+    """Whether every gain vector in ``domain`` gives ``gm`` the same variance.
+
+    A row's information depends on the gains only through its sender's power
+    ``|a_s|^2``, and only if the row is noisy: unimodular gains fix every power.
+    """
+    return domain is GainDomain.UNIMODULAR or not gm.sigma_rows.any()
+
+
 def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     """Run the cyclic gain optimization on a frozen global model.
 
@@ -243,10 +253,8 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     and never decreases.  The run stops once one outer cycle changes the
     information by at most :data:`XI`, or after :data:`MAX_OUTER` cycles.
     The selection plan baked into ``gm`` stays fixed for the whole run.
-    A row's information depends on the gains only through its sender's
-    power ``|a_s|^2``, and only if the row is noisy: with unimodular gains
-    (every power 1) or no noisy retained row, every feasible gain vector
-    is optimal, and the run returns ``a_init``, converged after 0 cycles.
+    When the gains cannot move the variance (:func:`gains_cannot_move`),
+    the run returns ``a_init``, converged after 0 cycles.
 
     Returns an :class:`OptTrace` whose ``gains`` are the best recorded
     iterate together with its information value and estimator variance.
@@ -265,7 +273,7 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
 
     a = best_a = a_init
     info_prev = best_info = record(a, 0)
-    trace.converged = a_init.domain is GainDomain.UNIMODULAR or not gm.sigma_rows.any()
+    trace.converged = gains_cannot_move(gm, a_init.domain)
     for _ in range(0 if trace.converged else MAX_OUTER):
         a, used = power_iterate(a, build_Q(gm, update_y(gm, a)))
         info = record(a, used)

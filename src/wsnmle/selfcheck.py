@@ -19,10 +19,10 @@ import numpy as np
 
 from .consensus import admm_rounds
 from .errors import DimensionMismatch, WsnMleError
-from .experiment import optimize_with_reselection
+from .experiment import ExperimentConfig, build_scenario, optimize_with_reselection
 from .fusion import GlobalModel, compress, decompose_information, information_total, ml_variance, noise_cov_rows
 from .gain_optimizer import Arrow, build_Q, diagonal_load, update_y
-from .network_model import GainDomain, GainVector, NetworkModel, gain_array, node_information, sample_channels
+from .network_model import GainDomain, GainVector, gain_array, node_information
 from .topology import random_connected_graph
 
 __all__ = ["CheckResult", "PROPERTY_CHECKS", "run_all", "build_R", "g_value", "dense_arrow"]
@@ -76,20 +76,19 @@ def dense_arrow(Q: Arrow) -> np.ndarray:
     return D
 
 
-def _random_scenario(rng: np.random.Generator, n_max: int, sigma_n: float = 0.1):
+def _random_scenario(rng: np.random.Generator, n_max: int):
+    """A G(n, 0.6) scenario, 2 <= n <= ``n_max``, with per-node observation variances in [0.5, 2)."""
     n = int(rng.integers(2, n_max + 1))
+    sigma_v_sq = rng.uniform(0.5, 2.0, n).tolist()
     seed = int(rng.integers(0, 2**31))
-    g = random_connected_graph(n, "gnp", p=0.6, seed=seed)
-    h = sample_channels(g, "complex_gaussian", seed=seed + 1)
-    model = NetworkModel(
-        graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=sigma_n, theta=2.0 + 1.0j
+    return build_scenario(
+        ExperimentConfig(n=n, topology_model="gnp", p=0.6, sigma_v_sq=sigma_v_sq, theta=2.0 + 1.0j, master_seed=seed)
     )
-    return g, model
 
 
-def _random_global(rng, n_max, domain=GainDomain.FIXED_ENERGY):
+def _random_global(rng, n_max):
     g, model = _random_scenario(rng, n_max)
-    a = GainVector.random(g.n, domain, rng)
+    a = GainVector.random(g.n, GainDomain.FIXED_ENERGY, rng)
     return g, model, a, compress(model, a)
 
 
@@ -182,7 +181,12 @@ def _rank_one_top_left(H, V, ytilde):
 
 
 def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
-    """Quadratic recast of the gain-dependent noise energy."""
+    """Quadratic recast of the noise energy, and ``build_Q`` against dense forms.
+
+    With ``C = H diag(a) V diag(a)^H H^H``, ``yt^H C yt == a^H top_left a``.
+    Each row draws its own observation noise, so ``build_Q(gm, yt)`` gives
+    ``a^H diag(top) a == yt^H diag(C) yt`` and ``border == H^H yt``.
+    """
     for _ in range(cases):
         g, model, a, gm = _random_global(rng, n_max)
         H = np.zeros((gm.m, gm.n), dtype=complex)  # the dense sensing matrix, one nonzero per row
@@ -191,10 +195,18 @@ def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
         ar = rng.standard_normal(gm.n) + 1j * rng.standard_normal(gm.n)
         yt = rng.standard_normal(gm.m) + 1j * rng.standard_normal(gm.m)
         D = np.diag(ar)
-        lhs = complex(np.conj(yt) @ (H @ D @ V @ np.conj(D.T) @ np.conj(H.T) @ yt))
+        C = H @ D @ V @ np.conj(D.T) @ np.conj(H.T)
+        lhs = complex(np.conj(yt) @ (C @ yt))
         rhs = complex(np.conj(ar) @ (top_left(H, V, yt) @ ar))
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
             return f"quadratic recast violated: {lhs} vs {rhs}"
+        Q = build_Q(gm, yt)
+        row_energy = complex(np.conj(yt) @ (np.diag(np.diag(C)) @ yt))
+        energy = complex(np.vdot(ar, Q.top * ar))
+        if abs(row_energy - energy) > 1e-9 * max(1.0, abs(row_energy)):
+            return f"build_Q's diagonal misses the per-row noise energy: {row_energy} vs {energy}"
+        if not np.allclose(Q.border, np.conj(H.T) @ yt, rtol=1e-12, atol=1e-12):
+            return "build_Q's border is not H^H ytilde"
     return None
 
 

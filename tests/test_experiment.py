@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnmle import experiment, selfcheck
+from wsnmle import experiment, gain_optimizer, selfcheck
 from wsnmle.cli import main
 from wsnmle.consensus import AdmmConfig, DecentralizedRun
 from wsnmle.errors import ZeroInformation
@@ -215,7 +215,7 @@ def test_optimize_with_reselection_selects_at_initial_gains():
 @pytest.mark.parametrize("n", [2, 16, 64, 200])
 def test_unimodular_gains_keep_the_all_ones_rows(n):
     # A row depends on the gains only through |a_s|^2, 1 up to rounding for
-    # every unimodular gain: the sweep scores its random baseline on these rows.
+    # every unimodular gain, so compression keeps the same rows at any of them.
     ones = GainVector.ones(n, GainDomain.UNIMODULAR)
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -229,17 +229,24 @@ def test_unimodular_gains_keep_the_all_ones_rows(n):
                     assert np.array_equal(getattr(got, key), getattr(want, key)), (seed, key)
 
 
-def test_unimodular_sweep_random_baseline_matches_compression_at_random_gains(tmp_path):
-    cfg = ExperimentConfig(constraint=GainDomain.UNIMODULAR, trials=3, master_seed=17)
-    rows = run_variance_sweep(cfg, [16, 200], tmp_path)
-    for row in rows:
-        n, variances = row["n"], []
-        for trial in range(cfg.trials):
-            _, model = build_scenario(cfg, n=n, trial=trial)
-            rng = np.random.default_rng(np.random.SeedSequence((derive_seed(cfg.master_seed, "gains", n, trial),)))
-            ar = GainVector.random(n, cfg.constraint, rng)
-            variances.append(ml_variance(compress(model, ar), ar))
-        assert row["failures"] == 0 and row["mean_var_random"] == np.mean(variances)
+@pytest.mark.parametrize(
+    "constraint, sigma_n_sq",
+    [(GainDomain.UNIMODULAR, 0.1), (GainDomain.UNIMODULAR, 0.0), (GainDomain.FIXED_ENERGY, 0.0)],
+)
+def test_sweep_scores_trials_the_gains_cannot_move_once(tmp_path, monkeypatch, constraint, sigma_n_sq):
+    # No feasible gain vector changes these variances: the sweep draws no random gains.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random gains drawn")
+
+    monkeypatch.setattr(GainVector, "random", no_draw)
+    for seed in range(4):
+        cfg = ExperimentConfig(constraint=constraint, sigma_n_sq=sigma_n_sq, sigma_v_sq=0.3, trials=3, master_seed=seed)
+        rows = run_variance_sweep(cfg, [1, 2, 5, 16], tmp_path / str(seed))
+        for row in rows:
+            assert row["trials"] == 3 and row["failures"] == 0
+            assert row["mean_var_random"] == row["mean_var_all_ones"] == row["mean_var_optimized"], (seed, row)
+        lines = (tmp_path / str(seed) / "sweep.csv").read_text().splitlines()[1:]
+        assert all(len(set(line.split(",")[3:6])) == 1 for line in lines)
 
 
 def test_sweep_without_transmission_noise(tmp_path):
@@ -277,6 +284,16 @@ def test_cli_optimize(tmp_path, capsys):
     assert main(["optimize", "--constraint", "unimodular", "--n", "8", "--seed", "7", "--out-dir", str(out)]) == 0
     assert (out / "opt_trace.csv").read_text().splitlines() == [header, "0,0.06808172409917895,0"]
     assert capsys.readouterr().out.startswith("n=8 cycles=0 converged=True ")
+
+
+def test_optimize_reports_the_cycle_cap(tmp_path, monkeypatch, capsys):
+    # The default fixed-energy scenario at n = 16 needs more than two cycles.
+    monkeypatch.setattr(gain_optimizer, "MAX_OUTER", 2)
+    _, model = build_scenario(ExperimentConfig(n=16))
+    _, trace = optimize_with_reselection(model, GainVector.ones(16, GainDomain.FIXED_ENERGY))
+    assert trace.converged is False and trace.outer_cycles == 2
+    assert main(["optimize", "--n", "16", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("n=16 cycles=2 converged=False ")
 
 
 def test_cli_optimize_without_transmission_noise(tmp_path):
@@ -489,6 +506,30 @@ def test_selfcheck_catches_underestimated_diagonal_load(monkeypatch):
     by_name = {r.name: r for r in run_all(seed=0, cases=5)}
     assert not by_name["gain_optimizer"].passed
     assert by_name["gain_optimizer"].detail.startswith("diagonal load leaves a negative eigenvalue")
+
+
+def _border_conjugated(gm, ytilde):
+    Q = gain_optimizer.build_Q(gm, ytilde)
+    return Q._replace(border=np.conj(Q.border))
+
+
+def _tail_weights_unsquared(gm, ytilde):
+    top = gain_optimizer.build_Q(gm, np.sqrt(np.abs(ytilde))).top  # |ytilde| where |ytilde|^2 belongs
+    return gain_optimizer.build_Q(gm, ytilde)._replace(top=top)
+
+
+def _observation_variance_dropped(gm, ytilde):
+    Q = gain_optimizer.build_Q(gm, ytilde)
+    return Q._replace(top=Q.top / gm.v_diag)
+
+
+@pytest.mark.parametrize("broken", [_border_conjugated, _tail_weights_unsquared, _observation_variance_dropped])
+def test_selfcheck_catches_broken_build_q(monkeypatch, broken):
+    # quadratic_recast checks the package's build_Q against dense forms.
+    monkeypatch.setattr(selfcheck, "build_Q", broken)
+    by_name = {r.name: r for r in run_all(seed=0, cases=5)}
+    assert not by_name["quadratic_recast"].passed
+    assert by_name["quadratic_recast"].detail.startswith("build_Q's ")
 
 
 def test_selfcheck_catches_wrong_recast_orientation():
