@@ -18,7 +18,7 @@ and forms the running ratio at every node.  The update coefficients are
 real, so the complex projection runs as two real streams and one round
 advances three real rows (I, Re P, Im P) with a single neighbour sum.
 ``decentralized_mle`` keeps no per-round history: it returns the final
-state, and hands each block of rounds to an optional ``record`` sink
+state, and hands each round to an optional ``record`` sink
 (``experiment.recorded_run`` keeps every round through one, for the trace
 CSV), so its memory is O(|E|) whatever the round count.
 """
@@ -44,9 +44,6 @@ __all__ = [
 
 #: Nodes whose information copy is below this in magnitude emit no estimate.
 EPS_GUARD = 1e-9
-
-#: Rounds that ``decentralized_mle`` runs between two checks of its stop rule.
-BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -151,14 +148,14 @@ def decentralized_mle(
     network mean is known to the simulator, not to any node: this is an
     oracle stop rule, not one the nodes could run themselves.
 
-    The rule is checked once per block of ``BLOCK`` rounds, over the whole
-    block at once; rounds computed past the stop are discarded, so the
-    result is the same as with a check after every round.
+    The rule is checked after every round, information first: the
+    projection is measured only in rounds where the information is within
+    ``cfg.tol``, and at the cap.
 
     Only the final state is kept.  A ``record(I, P)`` callable, if given,
-    receives the trajectory in fresh ``(rows, n)`` arrays: first round 0
-    (the all-zero start), then each block's rounds up to the stop, so the
-    rows of all calls, concatenated, are rounds ``0 .. iterations``.
+    receives the trajectory one round per call, in fresh ``(1, n)``
+    arrays: round 0 (the all-zero start) first, then rounds ``1 ..
+    iterations`` in order.
     """
     I0 = np.asarray(I0, dtype=float)
     P0 = np.asarray(P0, dtype=complex)
@@ -176,31 +173,25 @@ def decentralized_mle(
     if record is not None:
         record(np.zeros((1, g.n)), np.zeros((1, g.n), dtype=complex))
     streams = np.stack((I0, P0.real, P0.imag))
-    block = np.empty((min(BLOCK, cfg.max_iter), 3, g.n))
-    k = 0  # rounds accepted
     rounds = admm_rounds(g, cfg.rho, streams, np.zeros_like(streams), np.zeros_like(streams))
-    while True:
-        m = min(len(block), cfg.max_iter - k)
-        for j, (y, _lam) in zip(range(m), rounds):
-            block[j] = y
-        I = block[:m, 0]
-        P = block[:m, 1] + 1j * block[:m, 2]
-        dev = np.maximum(
-            np.max(np.abs(I - mean_I), axis=1) / scale_I,
-            np.max(np.abs(P - mean_P), axis=1) / scale_P,
-        )
-        within = np.flatnonzero(dev <= cfg.tol)
-        used = int(within[0]) + 1 if within.size else m
-        k += used
-        disagreement = float(dev[used - 1])
+    tol, max_iter = cfg.tol, cfg.max_iter
+    for k, (y, _lam) in enumerate(rounds, start=1):
+        disagreement = float(np.abs(y[0] - mean_I).max()) / scale_I
+        # The stop needs both streams within tol: the projection is measured
+        # only once the information is, and at the cap.
+        check_P = disagreement <= tol or k == max_iter
+        if check_P or record is not None:
+            P = y[1:2] + 1j * y[2:3]
+        if check_P:
+            disagreement = max(disagreement, float(np.abs(P - mean_P).max()) / scale_P)
         if record is not None:
-            record(I[:used].copy(), P[:used])
-        if within.size or k == cfg.max_iter:
+            record(y[:1].copy(), P)
+        if check_P and (disagreement <= tol or k == max_iter):
             break
     return DecentralizedRun(
-        I=I[used - 1 : used].copy(),
-        P=P[used - 1 : used].copy(),
-        converged=disagreement <= cfg.tol,
+        I=y[:1].copy(),
+        P=P,
+        converged=disagreement <= tol,
         iterations=k,
         disagreement=disagreement,
     )

@@ -200,7 +200,9 @@ def sample_channels(
     # Row k holds (re, im) pairs: one per edge direction, or one shared.
     # Blocks of rows draw the same stream as one call, in less memory.
     for k in range(0, graph.num_edges, _BLOCK):
-        draws = rng.normal(0.0, scale, size=(min(_BLOCK, graph.num_edges - k), 2 if reciprocal else 4)).view(complex)
+        draws = rng.standard_normal((min(_BLOCK, graph.num_edges - k), 2 if reciprocal else 4))
+        draws *= scale  # the bytes of rng.normal(0.0, scale, ...)
+        draws = draws.view(complex)
         forward = links.forward[k : k + _BLOCK]
         h[forward] = draws[:, 0]
         h[links.reverse[forward]] = draws[:, -1]

@@ -76,9 +76,14 @@ def dense_arrow(Q: Arrow) -> np.ndarray:
     return D
 
 
+def _random_size(rng: np.random.Generator, n_max: int) -> int:
+    """Every random check's node count: at least 2, at most ``max(n_max, 2)``."""
+    return int(rng.integers(2, max(n_max, 2) + 1))
+
+
 def _random_scenario(rng: np.random.Generator, n_max: int):
-    """A G(n, 0.6) scenario, 2 <= n <= ``n_max``, with per-node observation variances in [0.5, 2)."""
-    n = int(rng.integers(2, n_max + 1))
+    """A G(n, 0.6) scenario, n from :func:`_random_size`, with per-node observation variances in [0.5, 2)."""
+    n = _random_size(rng, n_max)
     sigma_v_sq = rng.uniform(0.5, 2.0, n).tolist()
     seed = int(rng.integers(0, 2**31))
     return build_scenario(
@@ -123,7 +128,7 @@ def check_topology(rng, cases, n_max):
 def check_information(rng, cases, n_max):
     """Phase invariance and noise monotonicity of every node's information."""
     for _ in range(cases):
-        g, model = _random_scenario(rng, max(n_max, 2))
+        g, model = _random_scenario(rng, n_max)
         a = GainVector.random(g.n, GainDomain.FIXED_ENERGY, rng)
         info = node_information(model, a)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -153,13 +158,13 @@ def check_partition(rng, cases, n_max):
 def check_consensus(rng, cases, n_max, rounds_fn=admm_rounds):
     """Convergence to the mean and stationarity of the consensus round.
 
-    Each case draws a G(n, 0.5) graph with 2 <= n <= ``n_max`` and complex
+    Each case draws a G(n, 0.5) graph, n from :func:`_random_size`, and complex
     initial values, then runs rho = 0.1, 0.5 and 2.0 from zero state.
     Every run must come within 1e-9 of the mean in at most 5,000 rounds,
     and one more round from there must move no copy by more than 1e-6.
     """
     for _ in range(cases):
-        n = int(rng.integers(2, n_max + 1))
+        n = _random_size(rng, n_max)
         g = random_connected_graph(n, "gnp", p=0.5, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         target = np.mean(x)

@@ -145,15 +145,16 @@ def _links(n: int, edges: np.ndarray) -> Links:
 
 def _connected(links: Links) -> bool:
     # Min-label propagation over the links with pointer jumping: label[v]
-    # stays a node of v's component no larger than v, so at the fixed point
-    # every node holds its component's smallest id.
+    # stays a node of v's component no larger than v, so the labels reach
+    # all 0 on a connected graph and stop at a fixed point otherwise.
     label = np.arange(links.starts.size)
-    while True:
+    while label.any():
         new = np.minimum.reduceat(label[links.sender], links.starts)
         new = new[new]
         if np.array_equal(new, label):
-            return not label.any()
+            return False
         label = new
+    return True
 
 
 @dataclass(frozen=True, eq=False)

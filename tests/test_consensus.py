@@ -372,8 +372,8 @@ def _assert_same_run(g, cfg, I0, P0, ref):
         assert type(r.iterations) is int and type(r.disagreement) is float
 
 
-# Caps around the stop check's block edge (BLOCK = 16), and None for a run
-# that converges somewhere inside a block.
+# Caps from one round up (a run that reaches its cap reads the projection
+# there), and None for a run that converges before its cap.
 @pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 37, None])
 @pytest.mark.parametrize("graph", list(_LOOP_GRAPHS))
 def test_decentralized_mle_matches_per_round_loop(graph, max_iter):
@@ -385,13 +385,12 @@ def test_decentralized_mle_matches_per_round_loop(graph, max_iter):
     ref = _per_round_decentralized_mle(g, cfg, I0, P0)
     _assert_same_run(g, cfg, I0, P0, ref)
     if max_iter is None:
-        assert ref[3]  # converged: the stop fell inside a block, not at the cap
+        assert ref[3]  # converged: stopped by the rule, not at the cap
 
 
 @pytest.mark.parametrize("graph", ["single", "path3", "star9"])
 def test_decentralized_mle_matches_per_round_loop_at_round_one(graph):
-    # Constant streams are within a loose tol after one round; the 15 rounds
-    # the block computed past it are discarded.
+    # Constant streams are within a loose tol after one round.
     g = _LOOP_GRAPHS[graph]()
     cfg = AdmmConfig(rho=0.5, max_iter=100, tol=0.9)
     I0, P0 = np.ones(g.n), np.full(g.n, 0.5 - 0.25j)
@@ -401,7 +400,7 @@ def test_decentralized_mle_matches_per_round_loop_at_round_one(graph):
 
 
 def test_record_sink_receives_rounds_in_order():
-    # Round 0 first, then each block's rounds up to the stop, as fresh arrays.
+    # Round 0 first, then one round per call up to the stop, as fresh arrays.
     g = _LOOP_GRAPHS["geo120"]()
     cfg = AdmmConfig(rho=0.7, max_iter=40, tol=1e-12)
     calls = []
@@ -409,12 +408,30 @@ def test_record_sink_receives_rounds_in_order():
         g, cfg, np.ones(g.n), np.arange(g.n, dtype=complex),
         record=lambda I, P: calls.append((I, P, I.tobytes() + P.tobytes())),
     )
-    assert [len(I) for I, _, _ in calls] == [1, 16, 16, 8]
+    assert len(calls) == 41 and run.iterations == 40
     assert not calls[0][0].any() and not calls[0][1].any()
     for I, P, seen in calls:
-        assert I.dtype == float and P.dtype == complex and I.shape == P.shape == (len(I), g.n)
-        assert I.tobytes() + P.tobytes() == seen  # later blocks did not overwrite it
+        assert I.dtype == float and P.dtype == complex and I.shape == P.shape == (1, g.n)
+        assert I.tobytes() + P.tobytes() == seen  # later rounds did not overwrite it
     assert calls[-1][0][-1].tobytes() == run.I[-1].tobytes()
+
+
+@pytest.mark.parametrize("graph", ["path3", "star9", "geo120", "geo300"])
+def test_decentralized_mle_matches_per_round_loop_when_information_settles_first(graph):
+    # Nearly constant information meets tol rounds before the widely spread,
+    # zero-mean projection does, so the rule reads the projection and keeps
+    # going.
+    g = _LOOP_GRAPHS[graph]()
+    rng = np.random.default_rng(g.n + 2)
+    I0 = 1.0 + 1e-12 * rng.standard_normal(g.n)
+    P0 = 50.0 * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+    P0 -= np.mean(P0)
+    cfg = AdmmConfig(rho=0.7, max_iter=5000, tol=1e-9)
+    ref = _per_round_decentralized_mle(g, cfg, I0, P0)
+    assert ref[3]
+    dev_I = np.max(np.abs(ref[0] - np.mean(I0)), axis=1) / max(1.0, abs(np.mean(I0)))
+    assert np.flatnonzero(dev_I <= cfg.tol)[0] < ref[2] - 2  # rounds before the stop
+    _assert_same_run(g, cfg, I0, P0, ref)
 
 
 def test_default_run_keeps_no_history():

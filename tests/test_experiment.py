@@ -483,6 +483,12 @@ def test_selfcheck_all_pass():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def test_selfcheck_runs_at_the_smallest_size_cap():
+    # Every random check draws at least two nodes, whatever n_max says.
+    results = run_all(seed=0, cases=2, n_max=1)
+    assert len(results) == 7 and all(r.passed for r in results), results
+
+
 def test_selfcheck_catches_sign_error_in_multiplier_update():
     def broken_rounds(g, rho, x, y, lam):
         A = np.zeros((g.n, g.n))
