@@ -83,7 +83,6 @@ class OptTrace:
     variances: list[float] = field(default_factory=list)
     inner_iters_used: list[int] = field(default_factory=list)
     gains: GainVector | None = None
-    info_final: float = 0.0
     var_final: float = 0.0
     converged: bool = False
     outer_cycles: int = 0
@@ -288,7 +287,6 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     if best_info <= 0.0:
         raise ZeroInformation("total information is zero at every recorded gain vector")
     trace.gains = best_a
-    trace.info_final = best_info
     trace.var_final = 1.0 / best_info
     trace.outer_cycles = len(trace.inner_iters_used) - 1
     return trace

@@ -2,9 +2,10 @@
 
 Each check runs a batch of small random instances (networks of up to 8
 nodes by default) and returns ``None`` on success or a message naming the
-first violated property.  The consensus and quadratic-recast checks
-accept injectable replacements for the piece under test, so the test
-suite can verify that a deliberately broken update is actually caught.
+first violated property.  Each check reaches the pieces it tests
+(``admm_rounds``, ``build_Q``, ``diagonal_load``, ...) through this
+module's globals, so a test can patch in a deliberately broken one and
+see that its check fails.
 The dense reference forms of the optimizer's two arrow matrices
 (:func:`build_R`, :func:`g_value`, :func:`dense_arrow`), which the
 optimizer itself never forms, live here for those checks and the tests.
@@ -155,7 +156,7 @@ def check_partition(rng, cases, n_max):
     return None
 
 
-def check_consensus(rng, cases, n_max, rounds_fn=admm_rounds):
+def check_consensus(rng, cases, n_max):
     """Convergence to the mean and stationarity of the consensus round.
 
     Each case draws a G(n, 0.5) graph, n from :func:`_random_size`, and complex
@@ -169,7 +170,7 @@ def check_consensus(rng, cases, n_max, rounds_fn=admm_rounds):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         target = np.mean(x)
         for rho in (0.1, 0.5, 2.0):
-            rounds = rounds_fn(g, rho, x, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+            rounds = admm_rounds(g, rho, x, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
             for _, (y, _lam) in zip(range(5000), rounds):
                 if float(np.max(np.abs(y - target))) <= 1e-9:
                     break
@@ -185,10 +186,10 @@ def _rank_one_top_left(H, V, ytilde):
     return (np.conj(H.T) @ np.outer(ytilde, np.conj(ytilde)) @ H) * V
 
 
-def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
+def check_hadamard(rng, cases, n_max):
     """Quadratic recast of the noise energy, and ``build_Q`` against dense forms.
 
-    With ``C = H diag(a) V diag(a)^H H^H``, ``yt^H C yt == a^H top_left a``.
+    With ``C = H diag(a) V diag(a)^H H^H``, ``yt^H C yt == a^H T a``, ``T`` from :func:`_rank_one_top_left`.
     Each row draws its own observation noise, so ``build_Q(gm, yt)`` gives
     ``a^H diag(top) a == yt^H diag(C) yt`` and ``border == H^H yt``.
     """
@@ -202,7 +203,7 @@ def check_hadamard(rng, cases, n_max, top_left=_rank_one_top_left):
         D = np.diag(ar)
         C = H @ D @ V @ np.conj(D.T) @ np.conj(H.T)
         lhs = complex(np.conj(yt) @ (C @ yt))
-        rhs = complex(np.conj(ar) @ (top_left(H, V, yt) @ ar))
+        rhs = complex(np.conj(ar) @ (_rank_one_top_left(H, V, yt) @ ar))
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
             return f"quadratic recast violated: {lhs} vs {rhs}"
         Q = build_Q(gm, yt)
@@ -276,19 +277,13 @@ PROPERTY_CHECKS = (
 )
 
 
-def run_all(seed: int = 0, cases: int = 100, n_max: int = 8, overrides: dict | None = None):
-    """Run every property check; returns one :class:`CheckResult` each.
-
-    ``overrides`` maps check names to keyword arguments (used by the test
-    suite to inject broken components).
-    """
-    overrides = overrides or {}
+def run_all(seed: int = 0, cases: int = 100, n_max: int = 8):
+    """Run every property check; returns one :class:`CheckResult` each."""
     results = []
     for name, fn in PROPERTY_CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))
-        kwargs = overrides.get(name, {})
         try:
-            detail = fn(rng, cases, n_max, **kwargs)
+            detail = fn(rng, cases, n_max)
         except WsnMleError as exc:
             detail = f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=detail is None, detail=detail or ""))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -43,16 +44,7 @@ import numpy as np
 
 from .errors import Disconnected, DuplicateEdge, MalformedGraph, OutOfRange, RetriesExhausted, SelfLoop
 
-__all__ = [
-    "Graph",
-    "Links",
-    "build_graph",
-    "random_connected_graph",
-    "graph_to_json",
-    "graph_from_json",
-    "save_graph",
-    "load_graph",
-]
+__all__ = ["Graph", "Links", "build_graph", "random_connected_graph", "save_graph", "load_graph"]
 
 
 class Links(NamedTuple):
@@ -73,35 +65,28 @@ class Links(NamedTuple):
     forward: np.ndarray
     own: np.ndarray
 
-    def index(self, pairs) -> np.ndarray:
-        """Link indices of ``(receiver, sender)`` pairs.
 
-        Raises :class:`OutOfRange` for a pair that is not a link, or for
-        nonempty input that is not of shape ``(m, 2)``.
-        """
-        n = self.starts.size
-        pairs = _pair_array(pairs, OutOfRange)
-        keys = self.receiver * n + self.sender
-        want = pairs[:, 0] * n + pairs[:, 1]
-        idx = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        bad = (keys[idx] != want) | (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)
-        if bad.any():
-            raise OutOfRange(f"{tuple(pairs[np.argmax(bad)].tolist())} is not a link")
-        return idx
-
-
-def _pair_array(pairs, error: type[Exception]) -> np.ndarray:
-    # A fresh (m, 2) intp array; ragged input, or nonempty input of any
-    # other shape, raises ``error`` rather than being re-paired.
+def _pair_array(pairs) -> np.ndarray:
+    # A fresh (m, 2) intp array; ragged input, non-integer ids, or nonempty
+    # input of any other shape raises MalformedGraph rather than being
+    # truncated, parsed or re-paired.
     try:
-        arr = np.array(pairs, dtype=np.intp)
+        arr = np.array(pairs)
     except ValueError:
-        raise error("node pairs must form an (m, 2) integer array") from None
+        raise MalformedGraph("node pairs must form an (m, 2) integer array") from None
     if arr.size == 0:
-        return arr.reshape(0, 2)
+        return np.empty((0, 2), dtype=np.intp)
+    if arr.dtype.kind not in "iu":
+        raise MalformedGraph(f"node ids must be integers, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise error(f"expected (m, 2) node pairs, got an array of shape {arr.shape}")
-    return arr
+        raise MalformedGraph(f"expected (m, 2) node pairs, got an array of shape {arr.shape}")
+    return arr.astype(np.intp, copy=False)
+
+
+def _check_count(n) -> None:
+    # bool is an int subclass, and floats such as 3.0 pass ``n < 1``.
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise MalformedGraph(f"node count must be an integer, got {n!r}")
 
 
 def _links(n: int, edges: np.ndarray) -> Links:
@@ -174,8 +159,8 @@ class Graph:
 
     Construction checks every invariant above and raises
     :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
-    :class:`MalformedGraph` (edges not an ``(m, 2)`` array of canonical
-    pairs) or :class:`Disconnected`.
+    :class:`MalformedGraph` (``n`` not an integer, or edges not an
+    ``(m, 2)`` integer array of canonical pairs) or :class:`Disconnected`.
     Two graphs are equal when their ``n`` and ``edges`` are.
     """
 
@@ -185,7 +170,8 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
-        edges = _pair_array(self.edges, MalformedGraph)
+        _check_count(n)
+        edges = _pair_array(self.edges)
         links = _links(n, edges)
         if not _connected(links):
             raise Disconnected(f"graph on {n} nodes with {len(edges)} edges is not connected")
@@ -223,14 +209,15 @@ def build_graph(n: int, edge_list) -> Graph:
     Parameters
     ----------
     n : int
-        Number of nodes, must be positive.
+        Number of nodes, a positive integer.
     edge_list : sequence of (int, int) or (m, 2) integer array
-        Unordered node pairs.  Input that is neither empty nor of shape
-        ``(m, 2)`` raises :class:`MalformedGraph`.  Duplicates (in either
-        orientation), self-loops, out-of-range ids, and disconnected
-        results are rejected by :class:`Graph`.
+        Unordered node pairs.  A non-integer ``n`` or id, and input that is
+        neither empty nor of shape ``(m, 2)``, raise :class:`MalformedGraph`.
+        Duplicates (in either orientation), self-loops, out-of-range ids,
+        and disconnected results are rejected by :class:`Graph`.
     """
-    pairs = np.sort(_pair_array(edge_list, MalformedGraph), axis=1)
+    _check_count(n)
+    pairs = np.sort(_pair_array(edge_list), axis=1)
     order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # any order will do for ids that Graph rejects
     return Graph(n=n, edges=pairs[order])
 
@@ -342,6 +329,10 @@ def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Ge
     raise ValueError(f"unknown random graph model {model!r}")
 
 
+#: Disconnected samples :func:`random_connected_graph` draws before it gives up.
+MAX_RETRIES = 1000
+
+
 def random_connected_graph(
     n: int,
     model: str = "geometric",
@@ -349,13 +340,12 @@ def random_connected_graph(
     radius: float = 0.5,
     p: float = 0.5,
     seed: int = 0,
-    max_retries: int = 1000,
 ) -> Graph:
     """Generate a random connected graph, deterministically per seed.
 
     Attempt ``k`` uses the RNG stream ``SeedSequence((seed, k))``; the first
     connected sample is returned.  Raises :class:`RetriesExhausted` after
-    ``max_retries`` disconnected samples.
+    ``MAX_RETRIES`` disconnected samples.
     """
     if n < 1:
         raise OutOfRange(f"node count must be positive, got {n}")
@@ -363,14 +353,14 @@ def random_connected_graph(
         raise ValueError(f"radius must lie in (0, sqrt(2)], got {radius}")
     if model == "gnp" and not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         try:
             return Graph(n=n, edges=_sample_edges(n, model, radius, p, rng))
         except Disconnected:
             continue
     raise RetriesExhausted(
-        f"no connected sample in {max_retries} attempts (n={n}, model={model})"
+        f"no connected sample in {MAX_RETRIES} attempts (n={n}, model={model})"
     )
 
 
@@ -379,25 +369,17 @@ def random_connected_graph(
 # ---------------------------------------------------------------------------
 
 
-def graph_to_json(g: Graph, *, seed=None, model=None) -> str:
-    doc = {
-        "n": g.n,
-        "edges": g.edges.tolist(),
-        "seed": seed,
-        "model": model,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def graph_from_json(text: str):
-    doc = json.loads(text)
-    g = build_graph(doc["n"], doc["edges"])
-    return g, doc.get("seed"), doc.get("model")
-
-
 def save_graph(g: Graph, path, *, seed=None, model=None) -> None:
-    Path(path).write_text(graph_to_json(g, seed=seed, model=model), encoding="utf-8")
+    """Write ``graph.json``: ``n``, ``edges``, ``seed`` and ``model`` as canonical JSON."""
+    doc = {"n": g.n, "edges": g.edges.tolist(), "seed": seed, "model": model}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_graph(path):
-    return graph_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a file :func:`save_graph` wrote: ``(graph, seed, model)``, or
+    :class:`MalformedGraph` unless it is a JSON object with ``n`` and ``edges``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict) or not {"n", "edges"} <= doc.keys():
+        raise MalformedGraph("a graph file holds a JSON object with keys 'n' and 'edges'")
+    return build_graph(doc["n"], doc["edges"]), doc.get("seed"), doc.get("model")

@@ -159,7 +159,7 @@ def test_criterion_8_two_sensor_grid_near_optimality():
             sig = np.abs(gm.row_h[None, :] * gains[:, gm.row_sender]) ** 2
             cov = sig * gm.row_sigma_v()[None, :] + gm.sigma_rows[None, :]
             best = max(best, float(np.max(np.sum(sig / cov, axis=1))))
-        gap = (best - trace.info_final) / best
+        gap = (best - 1.0 / trace.var_final) / best
         worst_gap = max(worst_gap, gap)
         if gap <= 0.02:
             hits += 1

@@ -456,8 +456,6 @@ def test_package_has_no_unused_import():
     package = Path(experiment.__file__).resolve().parent
     unused = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":  # imports to re-export them
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {
             (alias.asname or alias.name).split(".")[0]: node.lineno
@@ -489,7 +487,7 @@ def test_selfcheck_runs_at_the_smallest_size_cap():
     assert len(results) == 7 and all(r.passed for r in results), results
 
 
-def test_selfcheck_catches_sign_error_in_multiplier_update():
+def test_selfcheck_catches_sign_error_in_multiplier_update(monkeypatch):
     def broken_rounds(g, rho, x, y, lam):
         A = np.zeros((g.n, g.n))
         for i, j in g.edges:
@@ -501,8 +499,8 @@ def test_selfcheck_catches_sign_error_in_multiplier_update():
                 lam = lam - rho * (d * y - A @ y)  # sign flipped
             yield y, lam
 
-    results = run_all(seed=0, cases=5, overrides={"consensus": {"rounds_fn": broken_rounds}})
-    by_name = {r.name: r for r in results}
+    monkeypatch.setattr(selfcheck, "admm_rounds", broken_rounds)
+    by_name = {r.name: r for r in run_all(seed=0, cases=5)}
     assert not by_name["consensus"].passed
 
 
@@ -538,13 +536,12 @@ def test_selfcheck_catches_broken_build_q(monkeypatch, broken):
     assert by_name["quadratic_recast"].detail.startswith("build_Q's ")
 
 
-def test_selfcheck_catches_wrong_recast_orientation():
+def test_selfcheck_catches_wrong_recast_orientation(monkeypatch):
     def conjugate_flipped(H, V, ytilde):
         # outer product taken the wrong way around
         return (np.conj(H.T) @ np.outer(np.conj(ytilde), ytilde) @ H) * V
 
-    results = run_all(
-        seed=0, cases=5, overrides={"quadratic_recast": {"top_left": conjugate_flipped}}
-    )
-    by_name = {r.name: r for r in results}
+    monkeypatch.setattr(selfcheck, "_rank_one_top_left", conjugate_flipped)
+    by_name = {r.name: r for r in run_all(seed=0, cases=5)}
     assert not by_name["quadratic_recast"].passed
+    assert by_name["quadratic_recast"].detail.startswith("quadratic recast violated")

@@ -240,7 +240,7 @@ def test_node_with_no_rows_contributes_zero():
     model = NetworkModel(graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=1.0, theta=1.0)
     a = GainVector.ones(2, GainDomain.FIXED_ENERGY)
     # Hypothetical plan where node 1 retains nothing at all.
-    plan = SelectionPlan(retained=g.links.index([(0, 0), (0, 1)]), r=3)
+    plan = SelectionPlan(retained=np.flatnonzero(g.links.receiver == 0), r=3)  # links (0, 0) and (0, 1)
     gm = build_global_model(model, plan, a)
     I0 = decompose_information(gm, a)
     assert I0[1] == 0.0

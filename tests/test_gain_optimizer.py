@@ -69,7 +69,7 @@ def test_optimize_without_transmission_noise():
     assert trace.gains is a_init
     assert trace.converged and trace.outer_cycles == 0
     assert trace.variances == [1.0] and trace.inner_iters_used == [0]
-    assert trace.info_final == 1.0 and trace.var_final == 1.0
+    assert trace.var_final == 1.0
     # A lone node keeps only its noiseless self row, whatever sigma_n_sq:
     # no retained row carries transmission noise, so no cycle runs either.
     model, a_init, gm = _scenario(1, 901, sigma_n=0.1)
@@ -334,7 +334,7 @@ def test_diagonal_load_keeps_matrix_psd():
 def test_underestimated_load_raises_monotonicity_violation(monkeypatch):
     # Without the diagonal load the power step can lower the loaded form.
     # A typed error, not an assert, so the check also runs under python -O.
-    monkeypatch.setattr(gain_optimizer, "lambda_max_estimate", lambda Q, iters=200: 0.0)
+    monkeypatch.setattr(gain_optimizer, "lambda_max_estimate", lambda Q: 0.0)
     model, a, gm = _scenario(6, 300)
     with pytest.raises(MonotonicityViolation, match="loaded quadratic form decreased"):
         optimize(gm, a)
@@ -448,7 +448,7 @@ def test_optimize_reaches_water_filling_optimum(n):
     gm = build_global_model(model, select_retainers(g, node_information(model, a)), a)
     best = water_filling_information(gm)
     trace = optimize(gm, a)
-    assert abs(best - trace.info_final) <= 1e-8 * best
+    assert abs(best - 1.0 / trace.var_final) <= 1e-8 * best
 
 
 def test_optimize_single_unimodular_gain_converges_immediately():
@@ -467,7 +467,7 @@ def test_optimize_improves_on_all_ones():
             assert trace.var_final <= ml_variance(gm, a)
             info = 1.0 / np.asarray(trace.variances)
             assert np.all(np.diff(info) >= -1e-10)
-            assert trace.var_final == pytest.approx(1.0 / trace.info_final, rel=1e-12)
+            assert trace.var_final == min(trace.variances)
 
 
 def test_optimize_eta_phase_invariant():
@@ -497,7 +497,7 @@ def test_optimize_two_sensor_unimodular_matches_phase_grid():
         sig = np.abs(gm.row_h[None, :] * gains[:, gm.row_sender]) ** 2
         cov = sig * gm.row_sigma_v()[None, :] + gm.sigma_rows[None, :]
         best = max(best, float(np.max(np.sum(sig / cov, axis=1))))
-    achieved = trace.info_final
+    achieved = 1.0 / trace.var_final
     assert achieved >= best * (1.0 - 0.02)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dense import all_pairs_edges
+from wsnmle import topology
 from wsnmle.errors import (
     Disconnected,
     DuplicateEdge,
@@ -22,9 +23,9 @@ from wsnmle.topology import (
     _near_pairs,
     _sample_edges,
     build_graph,
-    graph_from_json,
-    graph_to_json,
+    load_graph,
     random_connected_graph,
+    save_graph,
 )
 
 
@@ -123,9 +124,10 @@ def test_generated_graphs_connected_and_symmetric():
                 assert i in g.neighbors(j)
 
 
-def test_retries_exhausted():
-    with pytest.raises(RetriesExhausted):
-        random_connected_graph(2, "gnp", p=1e-9, seed=0, max_retries=50)
+def test_retries_exhausted(monkeypatch):
+    monkeypatch.setattr(topology, "MAX_RETRIES", 50)
+    with pytest.raises(RetriesExhausted, match="in 50 attempts"):
+        random_connected_graph(2, "gnp", p=1e-9, seed=0)
 
 
 def test_parameter_validation():
@@ -137,12 +139,37 @@ def test_parameter_validation():
         random_connected_graph(3, "smallworld", seed=0)
 
 
-def test_json_round_trip_bit_exact():
+def _graph_file(tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_json_round_trip_bit_exact(tmp_path):
     g = random_connected_graph(9, "geometric", radius=0.6, seed=5)
-    text = graph_to_json(g, seed=5, model={"name": "geometric", "radius": 0.6})
-    g2, seed, model = graph_from_json(text)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_graph(g, first, seed=5, model={"name": "geometric", "radius": 0.6})
+    g2, seed, model = load_graph(first)
     assert g2 == g
-    assert graph_to_json(g2, seed=seed, model=model) == text
+    save_graph(g2, second, seed=seed, model=model)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    '{"n":2,"edges":[[0,1.5]]}',
+    '{"n":2,"edges":[["0","1"]]}',
+    '{"n":2,"edges":[[false,true]]}',
+    '{"edges":[[0,1]]}',
+    '{"n":2}',
+    '[2,[[0,1]]]',
+    '{"n":2.5,"edges":[[0,1]]}',
+    '{"n":3.0,"edges":[[0,1],[1,2]]}',
+    '{"n":true,"edges":[]}',
+    '{"n":"2","edges":[[0,1]]}',
+])
+def test_load_graph_rejects_malformed_file(tmp_path, text):
+    with pytest.raises(MalformedGraph):
+        load_graph(_graph_file(tmp_path, text))
 
 
 # --- Graph checks its own invariants ------------------------------------------
@@ -160,28 +187,22 @@ def test_graph_validates_canonical_edges():
         Graph(n=3, edges=((1, 2), (0, 1)))
 
 
-def test_graph_rejects_malformed_shape():
+def test_graph_rejects_malformed_shape(tmp_path):
     # Rows of width 3 must not be re-paired: flattened, these two are the
     # path 0-1-2-3.
     with pytest.raises(MalformedGraph):
-        graph_from_json('{"n":4,"edges":[[0,1,2],[1,2,3]]}')
+        load_graph(_graph_file(tmp_path, '{"n":4,"edges":[[0,1,2],[1,2,3]]}'))
     with pytest.raises(MalformedGraph):
         Graph(n=4, edges=np.array([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(MalformedGraph):
         build_graph(2, [0, 1])
     with pytest.raises(MalformedGraph):
-        graph_from_json('{"n":3,"edges":[[0,1],[1]]}')
-
-
-def test_links_index_rejects_malformed_shape():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    idx = g.links.index([[1, 0], [2, 1]])
-    assert g.links.receiver[idx].tolist() == [1, 2] and g.links.sender[idx].tolist() == [0, 1]
-    assert g.links.index([]).size == 0
-    with pytest.raises(OutOfRange):
-        g.links.index([[1, 0, 2, 1]])
-    with pytest.raises(OutOfRange):
-        g.links.index((1, 0))
+        load_graph(_graph_file(tmp_path, '{"n":3,"edges":[[0,1],[1]]}'))
+    # Non-integer node counts and ids are not truncated.
+    with pytest.raises(MalformedGraph):
+        Graph(n=2.5, edges=((0, 1),))
+    with pytest.raises(MalformedGraph):
+        Graph(n=2, edges=((0, 1.0),))
 
 
 def test_graph_validates_edge_ids():
@@ -282,16 +303,17 @@ def test_cells_at_cell_boundaries():
 
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("radius", [1e-6, 1e-300, 5e-324])
-def test_tiny_radius_exhausts_retries(n, radius):
+def test_tiny_radius_exhausts_retries(monkeypatch, n, radius):
     # The grid is capped at ceil(sqrt(n)) cells a side, so no attempt
     # allocates per-cell arrays of 1/radius**2 entries.
     assert _grid_side(n, radius) == int(np.ceil(np.sqrt(n)))
+    monkeypatch.setattr(topology, "MAX_RETRIES", 3)
     with pytest.raises(RetriesExhausted):
-        random_connected_graph(n, radius=radius, max_retries=3)
+        random_connected_graph(n, radius=radius)
 
 
 def test_geometric_graph_memory():
-    # All pairs at n = 4096 peaked at 385 MB.
+    # The cells peak near 10 MB here.
     tracemalloc.start()
     try:
         g = random_connected_graph(4096, radius=0.05)
