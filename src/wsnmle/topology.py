@@ -21,20 +21,14 @@ Generation is a pure function of ``(n, model parameters, seed)``: a
 disconnected sample is retried with an incremented sub-seed, so re-running
 with the same arguments always yields the identical edge set.
 
-A geometric sample buckets the nodes into square cells wider than
-``radius`` and tests only pairs in the same or adjacent cells (fixed-radius
-cell bucketing; Bentley, Stanat & Williams, IPL 1977), so time and memory
-grow with n and the edge count rather than with n(n-1)/2.  Each test is
-the all-pairs arithmetic in the same operand order and the survivors are
-sorted into canonical order, so the edges are byte-identical to testing
-every pair.  Small graphs, and radii that leave fewer than seven cells a
-side, still test all pairs, as ``gnp`` does.
+A geometric sample tests every pair of nodes, a block of rows at a time
+in two reused scratch buffers, so beyond the edges it returns it holds
+O(n) memory.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,7 +143,7 @@ class Graph:
     Attributes
     ----------
     n : int
-        Node count; node ids are ``0 .. n-1``.
+        Node count, kept as a Python ``int``; node ids are ``0 .. n-1``.
     edges : (m, 2) intp array, read-only
         Canonical edge set: rows ``(i, j)`` with ``i < j`` in ascending
         order.  Tuples, lists and arrays are all accepted and copied.
@@ -169,14 +163,15 @@ class Graph:
     links: Links = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        _check_count(n)
+        _check_count(self.n)
+        n = int(self.n)  # save_graph writes it to JSON, which takes no numpy int
         edges = _pair_array(self.edges)
         links = _links(n, edges)
         if not _connected(links):
             raise Disconnected(f"graph on {n} nodes with {len(edges)} edges is not connected")
         for a in (edges, *links):
             a.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "links", links)
 
@@ -222,85 +217,13 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n=n, edges=pairs[order])
 
 
-#: Below about this many nodes cell bookkeeping costs as much as testing
-#: all pairs, or more (timeit minima of the two enumerations, cells first:
-#: at n = 64, seven cells a side, 0.057 against 0.044 ms; at n = 96, 0.064
-#: against 0.075 ms; at n = 128, 0.081 against 0.123 ms).
-_CELL_MIN_NODES = 128
-
-#: With fewer cells a side the candidate pairs of neighbouring cells cost
-#: more than the blocked all-pairs test, which also holds less memory
-#: (timeit minima on a 2-vCPU Xeon VM, same positions, radius
-#: 1/(side+1), cells against all pairs, ms): six a side 1.06/1.07 at
-#: n = 512, 3.6/4.3 at n = 1024 and 80/60 at n = 4096; seven a side
-#: 0.71/1.02, 2.3/4.2 and 51/61; five and fewer lose from n = 512 (five:
-#: 1.5/1.1, three: 3.6/1.3).
-_CELL_MIN_SIDE = 7
-
-
-def _grid_side(n: int, radius: float) -> int:
-    """Cells per side of the square grid that buckets ``n`` nodes for ``radius``.
-
-    ``floor(1/radius) - 1`` cells are wider than ``radius`` by a factor of
-    at least ``1/(1 - radius)``, far beyond rounding, so two nodes that
-    pass the distance test sit in the same or adjacent cells.  At most
-    ``ceil(sqrt(n))`` a side keeps the cell arrays O(n) for tiny radii.
-    """
-    cap = math.isqrt(n - 1) + 1
-    return cap if 1.0 / radius >= cap + 2 else int(1.0 / radius) - 1
-
-
-def _near_pairs(pos: np.ndarray, radius: float, side: int) -> np.ndarray:
-    # Pairs (i, j), i < j, within ``radius``, in canonical order, testing
-    # only nodes in the same or adjacent cells.  Nodes are sorted by cell
-    # key ``cx*side + cy``; for each node the candidates are the rest of
-    # its own cell with the cell above it, and the three cells of the next
-    # column, each a contiguous run of the sorted order.  Every unordered
-    # pair of neighbouring cells is visited once.
-    n = len(pos)
-    cell = np.minimum((pos * side).astype(np.intp), side - 1)
-    key = cell[:, 0] * side + cell[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    counts = np.bincount(key, minlength=side * side)
-    ends = np.cumsum(counts)
-    cx, cy = np.divmod(key, side)
-    rank = np.arange(n)
-    up = cy + 1 < side
-    lo_own = rank + 1
-    hi_own = ends[key + up]
-    right = cx + 1 < side
-    first = np.where(right, key + side - (cy > 0), 0)
-    last = np.where(right, key + side + up, 0)
-    lo_next = np.where(right, ends[first] - counts[first], 0)
-    hi_next = np.where(right, ends[last], 0)
-    lo = np.concatenate((lo_own, lo_next))
-    lens = np.concatenate((hi_own - lo_own, hi_next - lo_next))
-    src = np.repeat(np.concatenate((rank, rank)), lens)
-    dst = np.arange(src.size) - np.repeat(np.cumsum(lens) - lens - lo, lens)
-    i, j = order[src], order[dst]
-    del src, dst  # candidate arrays go as soon as read: the peak holds a few of them
-    a, b = np.minimum(i, j), np.maximum(i, j)
-    del i, j
-    dx = pos[a, 0] - pos[b, 0]
-    dy = pos[a, 1] - pos[b, 1]
-    mask = dx**2 + dy**2 <= radius * radius
-    keys = np.sort(a[mask] * n + b[mask])
-    return np.stack(np.divmod(keys, n), axis=1)
-
-
 def _geometric_edges(pos: np.ndarray, radius: float) -> np.ndarray:
     # Canonical edges of the nodes at ``pos`` (n, 2) in the unit square: a
     # pair (i, j), i < j, whenever ``dx**2 + dy**2 <= radius**2`` with
-    # ``dx = pos[i, 0] - pos[j, 0]``.  Small n and coarse grids test all
-    # pairs (``_CELL_MIN_NODES``, ``_CELL_MIN_SIDE``).
+    # ``dx = pos[i, 0] - pos[j, 0]``.  A block of rows i (about 16k pairs)
+    # at a time is tested against the columns after its first row, in two
+    # reused 128 KiB buffers; ``below`` drops the pairs j <= i.
     n = len(pos)
-    side = _grid_side(n, radius)
-    if side >= _CELL_MIN_SIDE and n >= _CELL_MIN_NODES:
-        return _near_pairs(pos, radius, side)
-    # All pairs, a block of rows i (about 16k pairs) at a time against the
-    # columns after its first row, in two reused 128 KiB buffers; ``below``
-    # drops the pairs j <= i.
     x, y = np.ascontiguousarray(pos.T)
     rows = max(1, min(n - 1, (1 << 14) // n))
     below = np.tri(rows, rows, -1, dtype=bool)
@@ -345,8 +268,10 @@ def random_connected_graph(
 
     Attempt ``k`` uses the RNG stream ``SeedSequence((seed, k))``; the first
     connected sample is returned.  Raises :class:`RetriesExhausted` after
-    ``MAX_RETRIES`` disconnected samples.
+    ``MAX_RETRIES`` disconnected samples, :class:`MalformedGraph` for a
+    node count that is not an integer.
     """
+    _check_count(n)
     if n < 1:
         raise OutOfRange(f"node count must be positive, got {n}")
     if model == "geometric" and not 0.0 < radius <= np.sqrt(2.0):

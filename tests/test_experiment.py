@@ -156,10 +156,11 @@ def test_trace_writer_matches_per_row_csv(tmp_path, make_run):
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_convergence_trace_on_cell_graph_matches_per_row_csv(tmp_path):
-    # The trace run_convergence writes, every round of it.  n = 160 at
-    # radius 0.2 builds its graph from cells; no transmission noise keeps
-    # unit gains, so the run can be rebuilt here with every round kept.
+def test_convergence_trace_on_160_nodes_matches_per_row_csv(tmp_path):
+    # The trace run_convergence writes, every round of it, on a sparser and
+    # larger graph than the goldens' (n = 160, radius 0.2); no transmission
+    # noise keeps unit gains, so the run can be rebuilt here with every
+    # round kept.
     cfg = ExperimentConfig(n=160, radius=0.2, sigma_n_sq=0.0, master_seed=13)
     summary = run_convergence(cfg, tmp_path)
     g, model = build_scenario(cfg)

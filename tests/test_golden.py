@@ -3,12 +3,14 @@
 The files in ``tests/golden/`` were written by::
 
     wsnmle sweep --constraint unimodular --n-list 8,16 --trials 3 --seed 7
+    wsnmle sweep --n-list 4,8 --trials 3 --seed 7   # sweep_fixed_energy.csv
     wsnmle topology --n 16 --seed 7
     wsnmle consensus --n 8 --seed 7      # consensus_trace.csv, summary.json
     wsnmle optimize --n 8 --seed 7       # opt_trace.csv, gains.csv
 
-A change that alters them on purpose regenerates them with these commands
-and says why in CHANGES.md.
+The second sweep runs the default fixed-energy gains; its ``sweep.csv``
+is kept as ``sweep_fixed_energy.csv``.  A change that alters them on
+purpose regenerates them with these commands and says why in CHANGES.md.
 """
 
 from pathlib import Path
@@ -25,20 +27,22 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
 
 
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, name, golden",
     [
-        (SWEEP, "sweep.csv"),
-        (["topology", "--n", "16", "--seed", "7"], "graph.json"),
-        (CONSENSUS, "consensus_trace.csv"),
-        (CONSENSUS, "summary.json"),
-        (OPTIMIZE, "opt_trace.csv"),
-        (OPTIMIZE, "gains.csv"),
+        (SWEEP, "sweep.csv", "sweep.csv"),
+        (["sweep", "--n-list", "4,8", "--trials", "3", "--seed", "7"], "sweep.csv", "sweep_fixed_energy.csv"),
+        (["topology", "--n", "16", "--seed", "7"], "graph.json", "graph.json"),
+        (CONSENSUS, "consensus_trace.csv", "consensus_trace.csv"),
+        (CONSENSUS, "summary.json", "summary.json"),
+        (OPTIMIZE, "opt_trace.csv", "opt_trace.csv"),
+        (OPTIMIZE, "gains.csv", "gains.csv"),
     ],
-    ids=["sweep", "topology", "consensus-trace", "consensus-summary", "optimize-trace", "optimize-gains"],
+    ids=["sweep", "sweep-fixed-energy", "topology", "consensus-trace", "consensus-summary",
+         "optimize-trace", "optimize-gains"],
 )
-def test_output_bytes_match_golden(tmp_path, argv, name):
+def test_output_bytes_match_golden(tmp_path, argv, name, golden):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -13,7 +13,7 @@ from wsnmle.network_model import (
     node_information,
     sample_channels,
 )
-from wsnmle.topology import _geometric_edges, _grid_side, build_graph, random_connected_graph
+from wsnmle.topology import _geometric_edges, build_graph, random_connected_graph
 
 
 def _path3():
@@ -271,7 +271,6 @@ def test_setup_passes_memory():
     # and 4.5 (channels).
     n, radius, seed = 256, 0.5, 8
     pos = np.random.default_rng(seed).random((n, 2))
-    assert _grid_side(n, radius) < 3  # every pair is tested
     assert _peak(lambda: _geometric_edges(pos, radius)) <= 5.5 * 8 * (2 * len(_geometric_edges(pos, radius)) + n)
     g = random_connected_graph(n, radius=radius, seed=seed)
     unit = 8 * g.links.sender.size
