@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "optimize_with_reselection",
     "recorded_run",
     "run_convergence",
+    "run_optimize",
     "run_variance_sweep",
 ]
 
@@ -70,12 +71,12 @@ class ExperimentConfig:
     master_seed: int = 1234
 
     def __post_init__(self):
-        for name in ("n", "trials"):
+        for name, low in (("n", 1), ("trials", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if isinstance(self.constraint, str):
             object.__setattr__(self, "constraint", GainDomain(self.constraint))
         object.__setattr__(self, "theta", complex(self.theta))
@@ -92,12 +93,6 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["theta"] = [self.theta.real, self.theta.imag]
-        doc["constraint"] = self.constraint.value
-        return doc
 
 
 def _trial_graph(cfg: ExperimentConfig, n: int, trial: int) -> tuple[Graph, int]:
@@ -183,15 +178,20 @@ def write_convergence_trace(path, run: DecentralizedRun, theta_central: complex)
             )
 
 
-def write_opt_trace(path, trace: OptTrace) -> None:
-    """Optimizer CSV: outer_iter, variance, inner_iters_used."""
+def run_optimize(cfg: ExperimentConfig, out_dir) -> OptTrace:
+    """The gain design of the configured scenario, from all-ones gains.
+
+    Writes ``opt_trace.csv`` (outer_iter, variance, inner_iters_used) and
+    ``gains.csv`` (node, re, im) and returns the optimizer trace.
+    """
+    _, model = build_scenario(cfg)  # rejects a bad model before any output exists
+    _, trace = optimize_with_reselection(model, GainVector.ones(cfg.n, cfg.constraint))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = zip(range(len(trace.variances)), trace.variances, trace.inner_iters_used)
-    _write_csv(path, ("outer_iter", "variance", "inner_iters_used"), rows)
-
-
-def write_gains(path, gains: GainVector) -> None:
-    """Gains CSV: node, re, im."""
-    _write_csv(path, ("node", "re", "im"), ((i, z.real, z.imag) for i, z in enumerate(gains.a.tolist())))
+    _write_csv(out / "opt_trace.csv", ("outer_iter", "variance", "inner_iters_used"), rows)
+    _write_csv(out / "gains.csv", ("node", "re", "im"), ((i, z.real, z.imag) for i, z in enumerate(trace.gains.a.tolist())))
+    return trace
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
@@ -245,15 +245,14 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     step's rows) draws no random gains: all three columns get the
     variance at all-ones.  Trials run one after another in index order;
     failures are counted and skipped.  Every size must be an integer of
-    at least 1; any other entry raises ``ValueError`` before the output
-    directory exists.
+    at least 1; any other entry raises ``ValueError``.  The output
+    directory is made only to write ``sweep.csv``: a sweep that raises
+    leaves none.
     """
     n_list = list(n_list)
     for n in n_list:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"network sizes must be integers of at least 1, got {n!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in n_list:
         done: list[tuple[float, float, float]] = []
@@ -279,6 +278,8 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
         means = arr.mean(axis=0) if done else np.full(3, np.nan)
         improved = float(np.mean(arr[:, 0] <= arr[:, 1])) if done else 0.0
         rows.append(dict(zip(SWEEP_COLUMNS, (n, len(done), failures, *means.tolist(), improved))))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
     return rows
 

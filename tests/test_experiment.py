@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,12 +39,11 @@ from wsnmle.topology import load_graph
 
 
 def test_config_round_trip():
-    cfg = ExperimentConfig(n=6, theta=3.0 + 1.0j, constraint=GainDomain.UNIMODULAR,
-                           admm=AdmmConfig(rho=0.9), trials=7, master_seed=77)
-    doc = cfg.to_dict()
-    back = ExperimentConfig.from_dict(doc)
-    assert back == cfg
-    assert json.loads(json.dumps(doc)) == doc
+    # A config file holds theta as [re, im] and the ADMM settings as an object.
+    doc = json.loads('{"n": 6, "theta": [3.0, 1.0], "constraint": "unimodular", '
+                     '"admm": {"rho": 0.9}, "trials": 7, "master_seed": 77}')
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
+        n=6, theta=3.0 + 1.0j, constraint=GainDomain.UNIMODULAR, admm=AdmmConfig(rho=0.9), trials=7, master_seed=77)
 
 
 def test_config_validation():
@@ -53,6 +53,17 @@ def test_config_validation():
     for name, count in [("trials", 2.5), ("trials", True), ("n", 8.0), ("n", "8")]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ExperimentConfig(**{name: count})
+
+
+@pytest.mark.parametrize("value", [7.9, "7", True, -1], ids=["float", "str", "bool", "negative"])
+def test_cli_rejects_bad_master_seed(tmp_path, value):
+    # 7.9 would otherwise draw seed 7's graph, and -1 would fail inside numpy.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"master_seed": value}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="master_seed must be"):
+        main(["topology", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["xi", "lambda_margin", "inner_iters", "inner_tol", "max_outer"])
@@ -308,7 +319,7 @@ def test_cli_optimize_without_transmission_noise(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command, flag", [("optimize", "--rho"), ("consensus", "--rho")])
+@pytest.mark.parametrize("command, flag", [("consensus", "--rho")])
 def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="must be positive and finite"):
@@ -322,21 +333,23 @@ _NON_FINITE_MODEL = {
     "sigma_n_sq-inf": '{"sigma_n_sq": Infinity}',
     "sigma_v_sq-inf": '{"sigma_v_sq": Infinity}',
     "sigma_h-nan": '{"sigma_h": NaN}',
+    "radius-zero": '{"radius": 0}',
 }
 
 
 @pytest.mark.parametrize("command, doc", [
     pytest.param(command, doc, id=key if command == "consensus" else f"{command}-{key}")
-    for command in ("consensus", "optimize")
+    for command in ("consensus", "optimize", "sweep")
     for key, doc in _NON_FINITE_MODEL.items()
 ])
 def test_cli_rejects_non_finite_model_config(tmp_path, command, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(doc)  # json reads NaN and Infinity
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="finite"):
-        main([command, "--config", str(cfg_path), "--n", "8", "--seed", "7", "--out-dir", str(out)])
-    assert not out.exists()
+    size = ["--n-list", "8"] if command == "sweep" else ["--n", "8"]
+    with pytest.raises(ValueError, match="finite|radius must lie"):
+        main([command, "--config", str(cfg_path), *size, "--seed", "7", "--out-dir", str(out)])
+    assert not out.exists()  # sweep too: its first trial raises before sweep.csv is written
 
 
 @pytest.mark.parametrize("command", ["topology", "optimize"])
@@ -404,8 +417,7 @@ def test_cli_config_file_and_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 4, "master_seed": 9, "trials": 2,
                                     "constraint": "unimodular"}))
-    rc = main(["optimize", "--config", str(cfg_path), "--out-dir", str(tmp_path),
-               "--rho", "0.7", "--constraint", "fixed-energy"])
+    rc = main(["optimize", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--constraint", "fixed-energy"])
     assert rc == 0
 
 
@@ -421,10 +433,46 @@ def test_cli_selfcheck_rejects_case_count(tmp_path, capsys, cases):
     # A run that checks no case must not report seven passes.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as stop:
-        main(["selfcheck", "--cases", cases, "--out-dir", str(out)])
+        main(["selfcheck", "--cases", cases])
     err = capsys.readouterr().err
-    assert stop.value.code == 2 and not out.exists()
+    assert stop.value.code == 2
     assert "usage: wsnmle selfcheck" in err and f"expected an integer of at least 1, got {cases!r}" in err
+
+
+# The flags each subcommand takes, as its --help lists them.
+_CLI_FLAGS = {
+    "topology": {"--config", "--seed", "--out-dir", "--n"},
+    "optimize": {"--config", "--seed", "--out-dir", "--n", "--constraint"},
+    "consensus": {"--config", "--seed", "--out-dir", "--n", "--constraint", "--rho"},
+    "sweep": {"--config", "--seed", "--out-dir", "--n-list", "--trials", "--constraint"},
+    "selfcheck": {"--config", "--seed", "--cases"},
+}
+_FLAG_VALUES = {"--trials": "3", "--n": "8", "--constraint": "unimodular", "--rho": "0.7", "--out-dir": "x"}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_FLAGS))
+def test_cli_help_lists_the_flags_each_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == _CLI_FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, flag, _FLAG_VALUES[flag]] for command, flags in _CLI_FLAGS.items()
+      for flag in ("--trials", "--n", "--constraint", "--rho", "--out-dir") if flag not in flags),
+    ["topology", "--se", "7"],
+    ["sweep", "--n", "64"],
+], ids="-".join)
+def test_cli_rejects_flags_the_command_does_not_read(tmp_path, monkeypatch, capsys, argv):
+    # An ignored or abbreviated flag exits 2 before any output: sweep --n 64 once swept 4,8,12,16.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "rejected"
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--out-dir", str(out)] if "--out-dir" in _CLI_FLAGS[argv[0]] else argv)
+    assert stop.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_selfcheck_and_parser_unbuilt():
