@@ -192,9 +192,10 @@ def sample_channels(
     if dist == "complex_gaussian" and not 0 < sigma_h < np.inf:
         raise ValueError(f"sigma_h must be positive and finite, got {sigma_h}")
     links = graph.links
-    h = np.ones(links.sender.size, dtype=complex)
     if dist == "unit":
-        return h
+        return np.ones(links.sender.size, dtype=complex)
+    h = np.empty(links.sender.size, dtype=complex)  # the draws fill every link but the self links
+    h[links.own] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     scale = sigma_h / np.sqrt(2.0)
     # Row k holds (re, im) pairs: one per edge direction, or one shared.

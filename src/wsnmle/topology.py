@@ -21,9 +21,9 @@ Generation is a pure function of ``(n, model parameters, seed)``: a
 disconnected sample is retried with an incremented sub-seed, so re-running
 with the same arguments always yields the identical edge set.
 
-A geometric sample tests every pair of nodes, a block of rows at a time
-in two reused scratch buffers, so beyond the edges it returns it holds
-O(n) memory.
+A geometric sample tests every ordered pair of nodes, a block of rows at
+a time in two reused scratch buffers.  The test is symmetric and passes on
+the diagonal, so its row-major hits are the link table itself.
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ class Graph:
         Canonical edge set: rows ``(i, j)`` with ``i < j`` in ascending
         order.  Tuples, lists and arrays are all accepted and copied.
     links : Links
-        The directed-link table, derived from ``edges``; its arrays are
-        read-only too.
+        The directed-link table of ``edges``; its arrays are read-only
+        too.
 
     Construction checks every invariant above and raises
     :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
     :class:`MalformedGraph` (``n`` not an integer, or edges not an
     ``(m, 2)`` integer array of canonical pairs) or :class:`Disconnected`.
-    Two graphs are equal when their ``n`` and ``edges`` are.
+    A geometric sample's table and edges are kept as drawn, checked for
+    connectivity only.  Two graphs are equal when their ``n`` and ``edges`` are.
     """
 
     n: int
@@ -166,7 +167,11 @@ class Graph:
         _check_count(self.n)
         n = int(self.n)  # save_graph writes it to JSON, which takes no numpy int
         edges = _pair_array(self.edges)
-        links = _links(n, edges)
+        self._adopt(n, edges, _links(n, edges))
+
+    def _adopt(self, n: int, edges: np.ndarray, links: Links) -> Graph:
+        # Check connectivity, then freeze and keep the arrays.  On
+        # ``object.__new__(Graph)``, it builds a graph from a sampled table.
         if not _connected(links):
             raise Disconnected(f"graph on {n} nodes with {len(edges)} edges is not connected")
         for a in (edges, *links):
@@ -174,6 +179,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "links", links)
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -217,39 +223,36 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n=n, edges=pairs[order])
 
 
-def _geometric_edges(pos: np.ndarray, radius: float) -> np.ndarray:
-    # Canonical edges of the nodes at ``pos`` (n, 2) in the unit square: a
-    # pair (i, j), i < j, whenever ``dx**2 + dy**2 <= radius**2`` with
-    # ``dx = pos[i, 0] - pos[j, 0]``.  A block of rows i (about 16k pairs)
-    # at a time is tested against the columns after its first row, in two
-    # reused 128 KiB buffers; ``below`` drops the pairs j <= i.
+def _geometric_links(pos: np.ndarray, radius: float) -> tuple[np.ndarray, Links]:
+    # Edges and link table of the nodes at ``pos`` (n, 2): link (r, s) when
+    # ``dx**2 + dy**2 <= radius**2``, ``dx = pos[r, 0] - pos[s, 0]``.  The test
+    # is exactly symmetric and passes at r == s, so the row-major hits of each
+    # row block (~16k pairs, two reused 128 KiB buffers) are the links in order.
     n = len(pos)
     x, y = np.ascontiguousarray(pos.T)
-    rows = max(1, min(n - 1, (1 << 14) // n))
-    below = np.tri(rows, rows, -1, dtype=bool)
+    rows = max(1, min(n, (1 << 14) // n))
     bx, by = np.empty((2, rows * n))
-    parts = [np.empty((0, 2), np.intp)]
-    for i in range(0, n - 1, rows):
-        b, w = min(rows, n - 1 - i), n - 1 - i
-        dx = np.subtract.outer(x[i : i + b], x[i + 1 :], out=bx[: b * w].reshape(b, w))
-        dy = np.subtract.outer(y[i : i + b], y[i + 1 :], out=by[: b * w].reshape(b, w))
+    counts = np.empty(n, dtype=np.intp)
+    parts = []
+    for i in range(0, n, rows):
+        b = min(rows, n - i)
+        dx = np.subtract.outer(x[i : i + b], x, out=bx[: b * n].reshape(b, n))
+        dy = np.subtract.outer(y[i : i + b], y, out=by[: b * n].reshape(b, n))
         near = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx) <= radius * radius
-        near[:, :b][below[:b, :b]] = False
-        # Row ids from per-row counts: cheaper than argwhere's 2-D nonzero.
+        # Row counts and senders from the flat hits: cheaper than 2-D nonzero.
         flat = np.flatnonzero(near)
-        r = np.repeat(np.arange(i, i + b), np.count_nonzero(near, axis=1))
-        parts.append(np.stack((r, flat - (r - i) * w + (i + 1)), axis=1))
-    return np.concatenate(parts)
-
-
-def _sample_edges(n: int, model: str, radius: float, p: float, rng: np.random.Generator) -> np.ndarray:
-    if model == "geometric":
-        return _geometric_edges(rng.random((n, 2)), radius)
-    if model == "gnp":
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.size) < p
-        return np.stack((iu[mask], ju[mask]), axis=1)
-    raise ValueError(f"unknown random graph model {model!r}")
+        counts[i : i + b] = np.diff(np.searchsorted(flat, np.arange(0, (b + 1) * n, n)))
+        parts.append(flat - np.repeat(np.arange(0, b * n, n), counts[i : i + b]))
+    sender = np.concatenate(parts)
+    del parts, flat, bx, by, dx, dy  # before the table: the blocks and scratch buffers (dx, dy are views)
+    # Sorted by sender, a symmetric table lists each link's reverse in link order.
+    reverse = np.argsort(sender.astype(np.uint16) if n <= 1 << 16 else sender, kind="stable")
+    receiver = np.repeat(np.arange(n), counts)
+    forward = np.flatnonzero(receiver < sender)
+    edges = np.empty((forward.size, 2), dtype=np.intp)
+    edges[:, 0] = receiver[forward]
+    edges[:, 1] = sender[forward]
+    return edges, Links(receiver, sender, np.cumsum(counts) - counts, reverse, forward, np.flatnonzero(receiver == sender))
 
 
 #: Disconnected samples :func:`random_connected_graph` draws before it gives up.
@@ -278,10 +281,16 @@ def random_connected_graph(
         raise ValueError(f"radius must lie in (0, sqrt(2)], got {radius}")
     if model == "gnp" and not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    if model not in ("geometric", "gnp"):
+        raise ValueError(f"unknown random graph model {model!r}")
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         try:
-            return Graph(n=n, edges=_sample_edges(n, model, radius, p, rng))
+            if model == "geometric":
+                return object.__new__(Graph)._adopt(int(n), *_geometric_links(rng.random((n, 2)), radius))
+            iu, ju = np.triu_indices(n, k=1)
+            mask = rng.random(iu.size) < p
+            return Graph(n=n, edges=np.stack((iu[mask], ju[mask]), axis=1))
         except Disconnected:
             continue
     raise RetriesExhausted(

@@ -1,6 +1,8 @@
-"""Dense reference forms for tests: what the package keeps per row."""
+"""Dense reference forms for tests: what the package keeps per row or per link."""
 
 import numpy as np
+
+from wsnmle.topology import Links
 
 
 def dense_H(gm):
@@ -10,13 +12,50 @@ def dense_H(gm):
     return H
 
 
-def all_pairs_edges(pos, radius):
-    """Geometric edges by testing all n(n-1)/2 pairs of positions, in canonical order."""
-    iu, ju = np.triu_indices(len(pos), k=1)
-    dx = pos[iu, 0] - pos[ju, 0]
-    dy = pos[iu, 1] - pos[ju, 1]
-    mask = dx**2 + dy**2 <= radius * radius
-    return np.stack((iu[mask], ju[mask]), axis=1)
+def geometric_mask(pos, radius):
+    """Which of the nodes at ``pos`` lie within ``radius`` of each other, over all n^2 ordered pairs."""
+    dx = pos[:, 0, None] - pos[None, :, 0]
+    dy = pos[:, 1, None] - pos[None, :, 1]
+    return dx**2 + dy**2 <= radius * radius
+
+
+def edge_mask(n, edges):
+    """The n-by-n symmetric adjacency of an (m, 2) edge array."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[edges[:, 0], edges[:, 1]] = mask[edges[:, 1], edges[:, 0]] = True
+    return mask
+
+
+def dense_links(mask):
+    """Canonical edges and link table of the graph with symmetric adjacency ``mask``.
+
+    The links are the row-major nonzeros of ``mask`` with the diagonal set;
+    ``reverse`` reads a dense n-by-n matrix of link indices at the
+    transposed pair.
+    """
+    n = len(mask)
+    assert np.array_equal(mask, mask.T)
+    mask = mask | np.eye(n, dtype=bool)
+    receiver, sender = np.nonzero(mask)
+    index = np.full((n, n), -1, dtype=np.intp)
+    index[receiver, sender] = np.arange(receiver.size)
+    upper = receiver < sender
+    links = Links(
+        receiver=receiver,
+        sender=sender,
+        starts=np.searchsorted(receiver, np.arange(n)),
+        reverse=index[sender, receiver],
+        forward=np.flatnonzero(upper),
+        own=np.diagonal(index).copy(),
+    )
+    return np.stack((receiver[upper], sender[upper]), axis=1), links
+
+
+def assert_same_table(got, ref):
+    """Byte-identical edges and link arrays: same dtypes, shapes and values."""
+    for name, a, b in zip(("edges", *Links._fields), (got[0], *got[1]), (ref[0], *ref[1])):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _bisect(f, lo, hi):

@@ -1,4 +1,4 @@
-"""The directed-link table against straight-line per-link oracles.
+"""The directed-link table against straight-line per-link oracles and a dense one.
 
 The oracles restate, one link or one node at a time, what channel
 sampling, node information and retainer selection compute over the link
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import assert_same_table, dense_links, edge_mask
 from wsnmle.fusion import (
     SelectionPlan,
     build_global_model,
@@ -147,9 +148,16 @@ def graphs(draw):
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
 
+@pytest.mark.parametrize("graph", list(GRAPHS))
+def test_link_table_matches_dense_oracle(graph):
+    g = GRAPHS[graph]()
+    assert_same_table((g.edges, g.links), dense_links(edge_mask(g.n, g.edges)))
+
+
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_links_sorted_with_one_self_link_per_segment(g):
+    assert_same_table((g.edges, g.links), dense_links(edge_mask(g.n, g.edges)))
     links = g.links
     keys = links.receiver * g.n + links.sender
     assert keys.size == 2 * g.num_edges + g.n

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dense import all_pairs_edges
+from dense import assert_same_table, dense_links, geometric_mask
 from wsnmle import topology
 from wsnmle.errors import (
     Disconnected,
@@ -16,8 +16,7 @@ from wsnmle.errors import (
 )
 from wsnmle.topology import (
     Graph,
-    _geometric_edges,
-    _sample_edges,
+    _geometric_links,
     build_graph,
     load_graph,
     random_connected_graph,
@@ -246,12 +245,7 @@ def test_graph_is_read_only_and_input_agnostic():
     assert g != Graph(n=3, edges=((0, 1), (0, 2)))
 
 
-# --- geometric sampler against the dense all-pairs oracle ---------------------
-
-
-def _assert_same_edges(edges, ref):
-    assert edges.dtype == ref.dtype and edges.shape == ref.shape
-    assert edges.tobytes() == ref.tobytes()
+# --- geometric sampler against the dense link-table oracle --------------------
 
 
 _SIZES = [1, 2, 64, 512, 1000]
@@ -261,11 +255,23 @@ _RADII = [0.05, 0.1, 1 / 7, 0.2, 0.25, 1 / 3, 0.5]
 @pytest.mark.parametrize("radius", _RADII, ids=lambda r: f"r{r:.3f}")
 @pytest.mark.parametrize("n", _SIZES)
 def test_sampler_matches_all_pairs(n, radius):
-    # Byte-identical edge arrays from the same positions draw.
+    # Byte-identical edges and link arrays from the same positions, whether
+    # or not they are connected; at n = 1000 the row block does not divide n.
     for seed in range(20):
-        edges = _sample_edges(n, "geometric", radius, 0.5, np.random.default_rng(seed))
-        ref = all_pairs_edges(np.random.default_rng(seed).random((n, 2)), radius)
-        _assert_same_edges(edges, ref)
+        pos = np.random.default_rng(seed).random((n, 2))
+        assert_same_table(_geometric_links(pos, radius), dense_links(geometric_mask(pos, radius)))
+
+
+@pytest.mark.parametrize(("n", "radius"), [(1, 0.5), (64, 0.5), (256, 0.5), (512, 0.1)])
+def test_random_geometric_graph_keeps_the_sampled_table(n, radius):
+    # The first attempt's positions draw, kept as drawn and read-only.
+    for seed in range(3):
+        g = random_connected_graph(n, radius=radius, seed=seed)
+        pos = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((n, 2))
+        assert_same_table((g.edges, g.links), dense_links(geometric_mask(pos, radius)))
+        assert type(g.n) is int and g == build_graph(n, g.edges.tolist())
+        for a in (g.edges, *g.links):
+            assert not a.flags.writeable
 
 
 def test_geometric_edges_find_pairs_exactly_radius_apart():
@@ -274,9 +280,9 @@ def test_geometric_edges_find_pairs_exactly_radius_apart():
     radius = 5 / 32
     lattice = np.arange(32) / 32
     pos = np.stack(np.meshgrid(lattice, lattice, indexing="ij"), axis=-1).reshape(-1, 2)
-    ref = all_pairs_edges(pos, radius)
-    _assert_same_edges(_geometric_edges(pos, radius), ref)
-    d2 = ((pos[ref[:, 0]] - pos[ref[:, 1]]) ** 2).sum(axis=1)
+    ref = dense_links(geometric_mask(pos, radius))
+    assert_same_table(_geometric_links(pos, radius), ref)
+    d2 = ((pos[ref[0][:, 0]] - pos[ref[0][:, 1]]) ** 2).sum(axis=1)
     assert (d2 == radius * radius).sum() > 1000
 
 
@@ -289,7 +295,7 @@ def test_tiny_radius_exhausts_retries(monkeypatch, n, radius):
 
 
 def test_geometric_graph_memory():
-    # The blocked all-pairs test peaks near 6.7 MiB here.
+    # The blocked all-rows test peaks near 5.6 MiB here.
     tracemalloc.start()
     try:
         g = random_connected_graph(4096, radius=0.05)
