@@ -26,7 +26,7 @@ class Disconnected(GraphError):
 
 
 class MalformedGraph(GraphError):
-    """Edges not an ``(m, 2)`` array of pairs ``(i, j)``, ``i < j``, in ascending order."""
+    """A node count or id that is not an integer, pairs not an ``(m, 2)`` array, or a file without ``n``, ``edges``."""
 
 
 class RetriesExhausted(GraphError):

@@ -112,7 +112,7 @@ def check_topology(rng, cases, n_max):
             for j in g.neighbors(i):
                 if i not in g.neighbors(j):
                     return f"neighbour asymmetry at ({i}, {j})"
-        # build_graph already rejects disconnected graphs; re-check reachability.
+        # Graph already rejects disconnected graphs; re-check reachability.
         seen = {0}
         stack = [0]
         while stack:

@@ -21,13 +21,16 @@ Generation is a pure function of ``(n, model parameters, seed)``: a
 disconnected sample is retried with an incremented sub-seed, so re-running
 with the same arguments always yields the identical edge set.
 
-A geometric sample tests every ordered pair of nodes, a block of rows at
-a time in two reused scratch buffers.  The test is symmetric and passes on
-the diagonal, so its row-major hits are the link table itself.
+One builder derives the table from its links in (receiver, sender) order.
+An edge list is sorted into that order; a geometric sample tests every
+ordered pair of nodes, a block of rows at a time in two reused scratch
+buffers, and its row-major hits are already in it (the test is symmetric
+and passes on the diagonal).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import Disconnected, DuplicateEdge, MalformedGraph, OutOfRange, RetriesExhausted, SelfLoop
 
-__all__ = ["Graph", "Links", "build_graph", "random_connected_graph", "save_graph", "load_graph"]
+__all__ = ["Graph", "Links", "random_connected_graph", "save_graph", "load_graph"]
 
 
 class Links(NamedTuple):
@@ -61,11 +64,13 @@ class Links(NamedTuple):
 
 
 def _pair_array(pairs) -> np.ndarray:
-    # A fresh (m, 2) intp array; ragged input, non-integer ids, or nonempty
-    # input of any other shape raises MalformedGraph rather than being
-    # truncated, parsed or re-paired.
+    # The pairs as an (m, 2) intp array, which Graph only reads: an intp
+    # array is not copied.  Ragged input, non-integer ids (a bool too, which
+    # numpy turns into 0 or 1 in a list of ints), or nonempty input of any
+    # other shape raises MalformedGraph rather than being truncated, parsed
+    # or re-paired.
     try:
-        arr = np.array(pairs)
+        arr = np.asarray(pairs)
     except ValueError:
         raise MalformedGraph("node pairs must form an (m, 2) integer array") from None
     if arr.size == 0:
@@ -74,6 +79,8 @@ def _pair_array(pairs) -> np.ndarray:
         raise MalformedGraph(f"node ids must be integers, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise MalformedGraph(f"expected (m, 2) node pairs, got an array of shape {arr.shape}")
+    if not isinstance(pairs, np.ndarray) and bool in map(type, itertools.chain.from_iterable(pairs)):
+        raise MalformedGraph("node ids must be integers, got a bool")
     return arr.astype(np.intp, copy=False)
 
 
@@ -83,43 +90,17 @@ def _check_count(n) -> None:
         raise MalformedGraph(f"node count must be an integer, got {n!r}")
 
 
-def _links(n: int, edges: np.ndarray) -> Links:
-    # Validate an (m, 2) array of canonical edges and lay out its links
-    # unsorted: receiver r's segment holds its edges (i, r), grouped by a
-    # stable radix sort of the second column, its self link, then its
-    # edges (r, j), a run of the edge array.
-    if n < 1:
-        raise OutOfRange(f"node count must be positive, got {n}")
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        bad = edges[((edges < 0) | (edges >= n)).any(axis=1)][0]
-        raise OutOfRange(f"edge {tuple(bad.tolist())} references a node outside [0, {n})")
-    first, second = edges[:, 0], edges[:, 1]
-    loops = first == second
-    if loops.any():
-        raise SelfLoop(f"self-loop at node {int(first[np.argmax(loops)])}")
-    keys = first * n + second
-    rises = np.diff(keys)
-    if not (first < second).all() or (rises < 0).any():
-        raise MalformedGraph("edges must be pairs (i, j) with i < j in ascending order")
-    if not rises.all():
-        raise DuplicateEdge(f"edge {divmod(int(keys[np.argmin(rises)]), n)} listed more than once")
-    del keys, rises
-    nodes = np.arange(n)
-    later, earlier = np.bincount(first, minlength=n), np.bincount(second, minlength=n)
-    sizes = later + earlier + 1
-    starts = np.cumsum(sizes) - sizes
-    own = starts + earlier
-    below = np.cumsum(earlier)  # links (r, i), i < r, of the nodes up to r
-    forward = np.arange(len(edges)) + (below + nodes + 1)[first]
-    by_second = np.argsort(second.astype(np.uint16) if n <= 1 << 16 else second, kind="stable")
-    backward = np.empty_like(forward)
-    backward[by_second] = np.arange(len(edges)) + (own - below)[second[by_second]]
-    sender = np.empty(2 * len(edges) + n, dtype=np.intp)
-    reverse = np.empty_like(sender)
-    for link, other_end, back in ((forward, second, backward), (backward, first, forward), (own, nodes, own)):
-        sender[link] = other_end
-        reverse[link] = back
-    return Links(np.repeat(nodes, sizes), sender, starts, reverse, forward, own)
+def _table(receiver: np.ndarray, sender: np.ndarray, n: int) -> tuple[np.ndarray, Links]:
+    # Edges and link table from the links of a symmetric graph with a self
+    # link at every node, sorted by (receiver, sender).  Sorted by sender,
+    # such a table lists each link's reverse in link order.
+    reverse = np.argsort(sender.astype(np.uint16) if n <= 1 << 16 else sender, kind="stable")
+    forward = np.flatnonzero(receiver < sender)
+    edges = np.empty((forward.size, 2), dtype=np.intp)
+    edges[:, 0] = receiver[forward]
+    edges[:, 1] = sender[forward]
+    starts = np.searchsorted(receiver, np.arange(n))
+    return edges, Links(receiver, sender, starts, reverse, forward, np.flatnonzero(receiver == sender))
 
 
 def _connected(links: Links) -> bool:
@@ -146,16 +127,19 @@ class Graph:
         Node count, kept as a Python ``int``; node ids are ``0 .. n-1``.
     edges : (m, 2) intp array, read-only
         Canonical edge set: rows ``(i, j)`` with ``i < j`` in ascending
-        order.  Tuples, lists and arrays are all accepted and copied.
+        order, built from unordered pairs in any order and orientation
+        (tuples, lists or an array).
     links : Links
         The directed-link table of ``edges``; its arrays are read-only
         too.
 
-    Construction checks every invariant above and raises
-    :class:`OutOfRange`, :class:`SelfLoop`, :class:`DuplicateEdge`,
-    :class:`MalformedGraph` (``n`` not an integer, or edges not an
-    ``(m, 2)`` integer array of canonical pairs) or :class:`Disconnected`.
-    A geometric sample's table and edges are kept as drawn, checked for
+    Construction raises, checking in this order: :class:`MalformedGraph`
+    (``n`` or an id not an integer, or pairs not ``(m, 2)``),
+    :class:`OutOfRange` (``n < 1`` or an id outside ``[0, n)``),
+    :class:`SelfLoop`, :class:`Disconnected` (fewer than ``n - 1`` pairs,
+    before any allocation of size ``n``), :class:`DuplicateEdge` (a pair
+    repeated in either orientation) and :class:`Disconnected`.  A
+    geometric sample's table and edges are kept as drawn, checked for
     connectivity only.  Two graphs are equal when their ``n`` and ``edges`` are.
     """
 
@@ -166,8 +150,33 @@ class Graph:
     def __post_init__(self):
         _check_count(self.n)
         n = int(self.n)  # save_graph writes it to JSON, which takes no numpy int
-        edges = _pair_array(self.edges)
-        self._adopt(n, edges, _links(n, edges))
+        pairs = _pair_array(self.edges)
+        if n < 1:
+            raise OutOfRange(f"node count must be positive, got {n}")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
+            raise OutOfRange(f"edge {tuple(bad.tolist())} references a node outside [0, {n})")
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise SelfLoop(f"self-loop at node {int(pairs[loops[0], 0])}")
+        m = len(pairs)
+        if m < n - 1:  # before any O(n) allocation: n may be far beyond memory
+            raise Disconnected(f"graph on {n} nodes with {m} edges is not connected")
+        # Both directions of each pair and a self link per node, ordered by
+        # (receiver, sender) with stable sorts by sender and then by receiver
+        # (radix passes while ids fit in 16 bits).
+        receiver, sender = np.empty((2, 2 * m + n), dtype=np.uint16 if n <= 1 << 16 else np.intp)
+        receiver[:m] = sender[m : 2 * m] = pairs[:, 0]
+        sender[:m] = receiver[m : 2 * m] = pairs[:, 1]
+        receiver[2 * m :] = sender[2 * m :] = np.arange(n)
+        order = np.argsort(sender, kind="stable")
+        order = order[np.argsort(receiver[order], kind="stable")]
+        receiver, sender = receiver[order].astype(np.intp), sender[order].astype(np.intp)
+        del order  # before the table
+        twice = np.flatnonzero((receiver[1:] == receiver[:-1]) & (sender[1:] == sender[:-1]))
+        if twice.size:  # the first repeated link has receiver < sender
+            raise DuplicateEdge(f"edge {(int(receiver[twice[0]]), int(sender[twice[0]]))} listed more than once")
+        self._adopt(n, *_table(receiver, sender, n))
 
     def _adopt(self, n: int, edges: np.ndarray, links: Links) -> Graph:
         # Check connectivity, then freeze and keep the arrays.  On
@@ -204,25 +213,6 @@ class Graph:
         return tuple(senders)
 
 
-def build_graph(n: int, edge_list) -> Graph:
-    """Canonicalize an edge list and build a :class:`Graph`.
-
-    Parameters
-    ----------
-    n : int
-        Number of nodes, a positive integer.
-    edge_list : sequence of (int, int) or (m, 2) integer array
-        Unordered node pairs.  A non-integer ``n`` or id, and input that is
-        neither empty nor of shape ``(m, 2)``, raise :class:`MalformedGraph`.
-        Duplicates (in either orientation), self-loops, out-of-range ids,
-        and disconnected results are rejected by :class:`Graph`.
-    """
-    _check_count(n)
-    pairs = np.sort(_pair_array(edge_list), axis=1)
-    order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # any order will do for ids that Graph rejects
-    return Graph(n=n, edges=pairs[order])
-
-
 def _geometric_links(pos: np.ndarray, radius: float) -> tuple[np.ndarray, Links]:
     # Edges and link table of the nodes at ``pos`` (n, 2): link (r, s) when
     # ``dx**2 + dy**2 <= radius**2``, ``dx = pos[r, 0] - pos[s, 0]``.  The test
@@ -245,14 +235,7 @@ def _geometric_links(pos: np.ndarray, radius: float) -> tuple[np.ndarray, Links]
         parts.append(flat - np.repeat(np.arange(0, b * n, n), counts[i : i + b]))
     sender = np.concatenate(parts)
     del parts, flat, bx, by, dx, dy  # before the table: the blocks and scratch buffers (dx, dy are views)
-    # Sorted by sender, a symmetric table lists each link's reverse in link order.
-    reverse = np.argsort(sender.astype(np.uint16) if n <= 1 << 16 else sender, kind="stable")
-    receiver = np.repeat(np.arange(n), counts)
-    forward = np.flatnonzero(receiver < sender)
-    edges = np.empty((forward.size, 2), dtype=np.intp)
-    edges[:, 0] = receiver[forward]
-    edges[:, 1] = sender[forward]
-    return edges, Links(receiver, sender, np.cumsum(counts) - counts, reverse, forward, np.flatnonzero(receiver == sender))
+    return _table(np.repeat(np.arange(n), counts), sender, n)
 
 
 #: Disconnected samples :func:`random_connected_graph` draws before it gives up.
@@ -316,4 +299,4 @@ def load_graph(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not {"n", "edges"} <= doc.keys():
         raise MalformedGraph("a graph file holds a JSON object with keys 'n' and 'edges'")
-    return build_graph(doc["n"], doc["edges"]), doc.get("seed"), doc.get("model")
+    return Graph(doc["n"], doc["edges"]), doc.get("seed"), doc.get("model")

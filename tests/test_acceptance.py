@@ -24,7 +24,7 @@ from wsnmle.network_model import (
     sample_channels,
 )
 from wsnmle.selfcheck import check_consensus, check_equivalence, check_hadamard, check_optimizer, check_partition
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import Graph, random_connected_graph
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -145,7 +145,7 @@ def test_criterion_8_two_sensor_grid_near_optimality():
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     hits = 0
     worst_gap = 0.0
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     for seed in range(50):
         h = sample_channels(g, "complex_gaussian", seed=8000 + seed)
         model = NetworkModel(graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=0.2, theta=1.0)

@@ -18,11 +18,11 @@ from wsnmle.fusion import (
     select_retainers,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
-from wsnmle.topology import Graph, build_graph, random_connected_graph
+from wsnmle.topology import Graph, random_connected_graph
 
 
 def _path3():
-    return build_graph(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 def _zeros(n):
@@ -174,7 +174,7 @@ def test_multi_step_against_oracle():
 
 
 def test_single_node_is_immediate():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     x = np.array([4.0 - 2.0j])
     y, _ = next(admm_rounds(g, 0.5, x, _zeros(1), _zeros(1)))
     assert y[0] == x[0]  # y+ = x - lambda with zero state
@@ -320,8 +320,8 @@ def test_decentralized_mle_rejects_non_finite_streams(stream, value):
 @pytest.mark.parametrize(
     "g",
     [
-        build_graph(1, []),
-        build_graph(9, [(0, j) for j in range(1, 9)]),  # star: degrees 1 and n-1
+        Graph(1, []),
+        Graph(9, [(0, j) for j in range(1, 9)]),  # star: degrees 1 and n-1
         random_connected_graph(40, "gnp", p=0.15, seed=15),
         random_connected_graph(300, "gnp", p=0.03, seed=16),
         random_connected_graph(120, "geometric", radius=0.2, seed=17),
@@ -347,9 +347,9 @@ def test_decentralized_mle_matches_dense_oracle(g):
 
 
 _LOOP_GRAPHS = {
-    "single": lambda: build_graph(1, []),
+    "single": lambda: Graph(1, []),
     "path3": _path3,
-    "star9": lambda: build_graph(9, [(0, j) for j in range(1, 9)]),
+    "star9": lambda: Graph(9, [(0, j) for j in range(1, 9)]),
     "gnp40": lambda: random_connected_graph(40, "gnp", p=0.15, seed=15),
     "gnp300": lambda: random_connected_graph(300, "gnp", p=0.03, seed=16),
     "geo120": lambda: random_connected_graph(120, "geometric", radius=0.2, seed=17),

@@ -21,11 +21,11 @@ from wsnmle.network_model import (
     node_information,
     sample_channels,
 )
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import Graph, random_connected_graph
 
 
 def _path3():
-    return build_graph(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 def _scenario(n, seed, sigma_v=1.0, sigma_n=0.5, theta=2.0 + 1.0j, noisy_self=False,
@@ -56,7 +56,7 @@ def test_select_retainers_path_trace():
 
 
 def test_select_retainers_tie_breaks_to_smallest_id():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     plan = select_retainers(g, np.ones(4))
     pairs = _pairs(g, plan)
     # Sender 0's neighbors all tie; the smallest id retains.
@@ -68,7 +68,7 @@ def test_select_retainers_tie_breaks_to_smallest_id():
 
 
 def test_select_retainers_single_node():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     plan = select_retainers(g, np.array([3.0]))
     assert plan.retained.tolist() == [0] and _pairs(g, plan) == [(0, 0)]
     assert plan.r == 0
@@ -235,7 +235,7 @@ def test_single_node_holds_all_information():
 
 
 def test_node_with_no_rows_contributes_zero():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     h = sample_channels(g, "unit", seed=0)
     model = NetworkModel(graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=1.0, theta=1.0)
     a = GainVector.ones(2, GainDomain.FIXED_ENERGY)

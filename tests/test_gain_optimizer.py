@@ -25,7 +25,7 @@ from wsnmle.gain_optimizer import (
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
 from wsnmle.selfcheck import build_R, dense_arrow, g_value
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import Graph, random_connected_graph
 
 
 def _gm_rows(row_h, sigma_rows, v_diag, senders=None):
@@ -482,7 +482,7 @@ def test_optimize_eta_phase_invariant():
 
 def test_optimize_two_sensor_unimodular_matches_phase_grid():
     rng = np.random.default_rng(800)
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     h = sample_channels(g, "complex_gaussian", seed=801)
     model = NetworkModel(graph=g, h=h, sigma_v_sq=1.0, sigma_n_sq=0.2, theta=1.0)
     a0 = GainVector.ones(2, GainDomain.UNIMODULAR)

@@ -19,6 +19,7 @@ import pytest
 
 from wsnmle import cli
 from wsnmle.cli import main
+from wsnmle.topology import load_graph, save_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP = ["sweep", "--constraint", "unimodular", "--n-list", "8,16", "--trials", "3", "--seed", "7"]
@@ -43,6 +44,13 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
 def test_output_bytes_match_golden(tmp_path, argv, name, golden):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_graph_file_round_trips(tmp_path):
+    # The committed graph read back through the edge-list constructor.
+    g, seed, model = load_graph(GOLDEN / "graph.json")
+    save_graph(g, tmp_path / "graph.json", seed=seed, model=model)
+    assert (tmp_path / "graph.json").read_bytes() == (GOLDEN / "graph.json").read_bytes()
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

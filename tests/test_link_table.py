@@ -22,7 +22,7 @@ from wsnmle.fusion import (
     select_retainers,
 )
 from wsnmle.network_model import GainDomain, GainVector, NetworkModel, node_information, sample_channels
-from wsnmle.topology import build_graph, random_connected_graph
+from wsnmle.topology import Graph, random_connected_graph
 
 
 def _scalar_channels(g, dist, sigma_h, reciprocal, seed):
@@ -81,11 +81,11 @@ def _plan_pairs(g, plan):
 
 
 GRAPHS = {
-    "single": lambda: build_graph(1, []),
-    "pair": lambda: build_graph(2, [(0, 1)]),
-    "path7": lambda: build_graph(7, [(i, i + 1) for i in range(6)]),
-    "star9": lambda: build_graph(9, [(4, j) for j in range(9) if j != 4]),
-    "complete8": lambda: build_graph(8, list(combinations(range(8), 2))),
+    "single": lambda: Graph(1, []),
+    "pair": lambda: Graph(2, [(0, 1)]),
+    "path7": lambda: Graph(7, [(i, i + 1) for i in range(6)]),
+    "star9": lambda: Graph(9, [(4, j) for j in range(9) if j != 4]),
+    "complete8": lambda: Graph(8, list(combinations(range(8), 2))),
     "gnp40": lambda: random_connected_graph(40, "gnp", p=0.2, seed=3),
     "geo120": lambda: random_connected_graph(120, "geometric", radius=0.25, seed=4),
     "gnp300": lambda: random_connected_graph(300, "gnp", p=0.05, seed=5),
@@ -142,7 +142,7 @@ def graphs(draw):
     chords = rng.integers(0, n, size=(draw(st.integers(0, 3 * n)), 2))
     pairs |= {(min(i, j), max(i, j)) for i, j in chords.tolist() if i != j}
     edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in sorted(pairs)]
-    return build_graph(n, [edges[k] for k in rng.permutation(len(edges))])
+    return Graph(n, [edges[k] for k in rng.permutation(len(edges))])
 
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)

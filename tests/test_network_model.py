@@ -13,11 +13,11 @@ from wsnmle.network_model import (
     node_information,
     sample_channels,
 )
-from wsnmle.topology import _geometric_links, build_graph, random_connected_graph
+from wsnmle.topology import Graph, _geometric_links, random_connected_graph
 
 
 def _path3():
-    return build_graph(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 def _link(g, receiver, sender):
@@ -30,7 +30,7 @@ def _at(g, h, receiver, sender):
 
 def _pair(h01=2.0, sigma_v=1.0, sigma_n=1.0, noisy_self=True):
     # Two nodes; node 0 receives node 1 over channel h01, every other link is 1.
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     h = np.ones(4, dtype=complex)
     h[_link(g, 0, 1)] = h01
     return _model(g, h, sigma_v=sigma_v, sigma_n=sigma_n, noisy_self=noisy_self)
@@ -79,7 +79,7 @@ def test_channel_sampling_deterministic():
 def test_channel_second_moment():
     # Complete graph gives >= 1e5 off-diagonal draws in one call.
     n = 317
-    g = build_graph(n, list(combinations(range(n), 2)))
+    g = Graph(n, list(combinations(range(n), 2)))
     h = sample_channels(g, "complex_gaussian", sigma_h=1.0, seed=11)
     draws = h[g.links.receiver != g.links.sender]
     assert draws.size >= 100_000
@@ -190,7 +190,7 @@ def test_random_gain_vectors_feasible():
 
 
 def test_noise_cov_rows_single_row():
-    model = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
+    model = _model(Graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
     gains = GainVector.ones(1, GainDomain.FIXED_ENERGY)
     np.testing.assert_allclose(noise_cov_rows(_global(model, gains), gains), [2.0])
     assert node_information(model, gains) == pytest.approx([0.5])
@@ -218,7 +218,7 @@ def test_node_information_singular_covariance():
 
 def test_node_information_examples():
     ones = GainVector.ones(2, GainDomain.FIXED_ENERGY)
-    single = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
+    single = _model(Graph(1, []), np.ones(1), sigma_v=1.0, sigma_n=1.0, noisy_self=True)
     assert node_information(single, GainVector.ones(1, GainDomain.FIXED_ENERGY)) == pytest.approx([0.5])
     gm = _global(_pair(h01=2.0), ones)
     assert information_total(gm, np.zeros(2)) == 0.0
@@ -270,12 +270,18 @@ def test_setup_passes_memory():
     # peaked at 7.0 (node information), 7.0 (all pairs), 8.2 (whole graph)
     # and 4.5 (channels); an edge list laid out into the table took the
     # whole graph to 6.6.  Sampled straight into the table, it peaks at 5.5.
+    # Canonicalized and then laid out, a shuffled edge list took 8.1.
     n, radius, seed = 256, 0.5, 8
     pos = np.random.default_rng(seed).random((n, 2))
     assert _peak(lambda: _geometric_links(pos, radius)) <= 5.1 * 8 * _geometric_links(pos, radius)[1].sender.size
     g = random_connected_graph(n, radius=radius, seed=seed)
     unit = 8 * g.links.sender.size
     assert _peak(lambda: random_connected_graph(n, radius=radius, seed=seed)) <= 5.6 * unit
+    rng = np.random.default_rng(seed)
+    pairs = g.edges[rng.permutation(g.num_edges)]
+    flip = rng.random(g.num_edges) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    assert _peak(lambda: Graph(n, pairs)) <= 5.6 * unit
     assert _peak(lambda: sample_channels(g, seed=seed)) <= 4.5 * unit
     model = _model(g, sample_channels(g, seed=seed))
     assert _peak(lambda: node_information(model, GainVector.ones(n, GainDomain.UNIMODULAR))) <= 3.5 * unit
@@ -304,7 +310,7 @@ def test_observations_vanishing_noise():
 
 
 def test_observation_mean_matches_parameter():
-    model = _model(build_graph(1, []), np.ones(1), sigma_v=1.0, theta=2.0 + 0.5j)
+    model = _model(Graph(1, []), np.ones(1), sigma_v=1.0, theta=2.0 + 0.5j)
     gains = GainVector.ones(1, GainDomain.FIXED_ENERGY)
     gm = _global(model, gains)
     draws = np.array([sample_received(model, gm, gains, seed=s)[0] for s in range(20_000)])

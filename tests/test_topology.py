@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dense import assert_same_table, dense_links, geometric_mask
+from dense import assert_same_table, dense_links, edge_mask, geometric_mask
 from wsnmle import topology
 from wsnmle.errors import (
     Disconnected,
@@ -17,7 +17,6 @@ from wsnmle.errors import (
 from wsnmle.topology import (
     Graph,
     _geometric_links,
-    build_graph,
     load_graph,
     random_connected_graph,
     save_graph,
@@ -47,7 +46,7 @@ def _bfs_reached(g):
 
 
 def test_path_graph_neighbor_order():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.neighbors(1) == (0, 2)
     assert g.neighbors(0) == (1,)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
@@ -55,34 +54,34 @@ def test_path_graph_neighbor_order():
 
 def test_duplicate_edge_rejected():
     with pytest.raises(DuplicateEdge):
-        build_graph(2, [(0, 1), (0, 1)])
+        Graph(2, [(0, 1), (0, 1)])
     # reversed orientation is the same undirected edge
     with pytest.raises(DuplicateEdge):
-        build_graph(2, [(0, 1), (1, 0)])
+        Graph(2, [(0, 1), (1, 0)])
 
 
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
-        build_graph(2, [(0, 0), (0, 1)])
+        Graph(2, [(0, 0), (0, 1)])
 
 
 def test_out_of_range_rejected():
     with pytest.raises(OutOfRange):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
     with pytest.raises(OutOfRange):
-        build_graph(0, [])
+        Graph(0, [])
 
 
 def test_disconnected_rejected():
     with pytest.raises(Disconnected):
-        build_graph(4, [(0, 1), (2, 3)])
+        Graph(4, [(0, 1), (2, 3)])
 
 
 def test_degree():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert len(g.neighbors(1)) == 2
     assert len(g.neighbors(0)) == 1
-    complete = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    complete = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert all(len(complete.neighbors(i)) == 3 for i in range(4))
     with pytest.raises(OutOfRange):
         g.neighbors(3)
@@ -92,7 +91,7 @@ def test_single_node():
     g = random_connected_graph(1, "geometric", radius=0.5, seed=7)
     assert g.n == 1 and g.edges.shape == (0, 2)
     assert Graph(n=1, edges=()) == g
-    assert build_graph(1, []) == g
+    assert Graph(1, []) == g
 
 
 def test_gnp_full_probability_forces_edge():
@@ -136,7 +135,7 @@ def test_numpy_count_saves_as_python_int(tmp_path):
     save_graph(Graph(n=2, edges=[(0, 1)]), plain)
     save_graph(Graph(n=np.int64(2), edges=[(0, 1)]), numpy)
     assert numpy.read_bytes() == plain.read_bytes()
-    assert type(build_graph(np.int64(2), [(1, 0)]).n) is int
+    assert type(Graph(np.int64(2), [(1, 0)]).n) is int
 
 
 def test_parameter_validation():
@@ -168,6 +167,7 @@ def test_json_round_trip_bit_exact(tmp_path):
     '{"n":2,"edges":[[0,1.5]]}',
     '{"n":2,"edges":[["0","1"]]}',
     '{"n":2,"edges":[[false,true]]}',
+    '{"n":2,"edges":[[0,true]]}',
     '{"edges":[[0,1]]}',
     '{"n":2}',
     '[2,[[0,1]]]',
@@ -187,13 +187,26 @@ def test_load_graph_rejects_malformed_file(tmp_path, text):
 def test_graph_validates_connectivity():
     with pytest.raises(Disconnected):
         Graph(n=3, edges=((0, 2),))
+    with pytest.raises(Disconnected):  # n - 1 pairs, but node 3 is isolated
+        Graph(n=4, edges=((0, 1), (1, 2), (2, 0)))
 
 
-def test_graph_validates_canonical_edges():
-    with pytest.raises(MalformedGraph):
-        Graph(n=2, edges=((1, 0),))
-    with pytest.raises(MalformedGraph):
-        Graph(n=3, edges=((1, 2), (0, 1)))
+def test_graph_takes_pairs_in_any_order_and_orientation():
+    g = random_connected_graph(64, "gnp", p=0.2, seed=3)
+    rng = np.random.default_rng(0)
+    pairs = g.edges[rng.permutation(g.num_edges)]
+    flip = rng.random(g.num_edges) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    shuffled = Graph(n=64, edges=pairs)
+    assert shuffled == g
+    assert_same_table((shuffled.edges, shuffled.links), dense_links(edge_mask(64, pairs)))
+
+
+@pytest.mark.parametrize("n", [10**12, 10**19])
+def test_graph_file_with_too_few_edges_is_disconnected(tmp_path, n):
+    # Rejected before anything of size n is allocated.
+    with pytest.raises(Disconnected):
+        load_graph(_graph_file(tmp_path, f'{{"n":{n},"edges":[[0,1]]}}'))
 
 
 def test_graph_rejects_malformed_shape(tmp_path):
@@ -204,7 +217,7 @@ def test_graph_rejects_malformed_shape(tmp_path):
     with pytest.raises(MalformedGraph):
         Graph(n=4, edges=np.array([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(MalformedGraph):
-        build_graph(2, [0, 1])
+        Graph(2, [0, 1])
     with pytest.raises(MalformedGraph):
         load_graph(_graph_file(tmp_path, '{"n":3,"edges":[[0,1],[1]]}'))
     # Non-integer node counts and ids are not truncated.
@@ -212,6 +225,8 @@ def test_graph_rejects_malformed_shape(tmp_path):
         Graph(n=2.5, edges=((0, 1),))
     with pytest.raises(MalformedGraph):
         Graph(n=2, edges=((0, 1.0),))
+    with pytest.raises(MalformedGraph):
+        Graph(n=3, edges=[(0, 1), (1, True)])
 
 
 def test_graph_validates_edge_ids():
@@ -227,7 +242,7 @@ def test_graph_validates_edge_ids():
 
 def test_hand_built_graph_equals_built_graph():
     g = Graph(n=3, edges=((0, 1), (1, 2)))
-    assert g == build_graph(3, [(2, 1), (1, 0)])
+    assert g == Graph(3, [(2, 1), (1, 0)])
     assert g.links.sender.tolist() == [0, 1, 0, 1, 2, 1, 2]
 
 
@@ -269,7 +284,7 @@ def test_random_geometric_graph_keeps_the_sampled_table(n, radius):
         g = random_connected_graph(n, radius=radius, seed=seed)
         pos = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((n, 2))
         assert_same_table((g.edges, g.links), dense_links(geometric_mask(pos, radius)))
-        assert type(g.n) is int and g == build_graph(n, g.edges.tolist())
+        assert type(g.n) is int and g == Graph(n, g.edges.tolist())
         for a in (g.edges, *g.links):
             assert not a.flags.writeable
 
