@@ -11,7 +11,10 @@ Subcommands::
 Every subcommand takes ``--config FILE`` (JSON, same keys as
 ``ExperimentConfig``), ``--seed`` and only the other flags it reads
 (``_COMMANDS``), by exact name.  Each command that writes files is one
-call into :mod:`wsnmle.experiment`; this module parses and prints.  The
+call into :mod:`wsnmle.experiment`; this module parses and prints.  A
+value that breaks its rule, wherever the library checks it, raises
+:class:`~wsnmle.errors.ConfigError`, which exits 2 with the subcommand's
+usage line and ``wsnmle <cmd>: error: <message>``, as argparse does.  The
 parser is built on the first :func:`main` call and reused for the rest of
 the process; the property suite is imported only by ``wsnmle selfcheck``.
 """
@@ -25,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import ConfigError
 from .experiment import ExperimentConfig, run_convergence, run_optimize, run_variance_sweep, write_topology
 from .network_model import GainDomain
 
@@ -72,21 +76,14 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def _sizes(text: str) -> list[int]:
-    """``--n-list``: one or more comma-separated network sizes, each an integer of at least 1."""
+    """``--n-list``: one or more comma-separated integers (``run_variance_sweep`` checks their range)."""
     try:
         sizes = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        sizes = [0]
-    if not sizes or min(sizes) < 1:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers of at least 1, got {text!r}")
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return sizes
-
-
-def _cases(text: str) -> int:
-    """``--cases``: random cases per property, an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
 
 
 def cmd_selfcheck(cfg: ExperimentConfig, args) -> int:
@@ -112,7 +109,7 @@ _FLAGS = {
     "--trials": dict(type=int, help="Monte Carlo trial count override"),
     "--constraint": dict(choices=[d.value for d in GainDomain], help="gain constraint domain override"),
     "--rho": dict(type=float, help="consensus step constant override"),
-    "--cases": dict(type=_cases, default=100, help="random cases per property"),
+    "--cases": dict(type=int, default=100, help="random cases per property"),
 }
 
 # (name, handler, help, flags) of each subcommand.
@@ -144,13 +141,16 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(_load_config(args), args)
+    try:
+        return args.fn(_load_config(args), args)
+    except ConfigError as exc:  # a value that breaks its rule: reported like argparse's own errors
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -25,13 +25,11 @@ CSV), so its memory is O(|E|) whatever the round count.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroInformation
+from .errors import DimensionMismatch, ZeroInformation, integer_at_least, positive_finite
 from .topology import Graph
 
 __all__ = [
@@ -55,14 +53,9 @@ class AdmmConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        positive_finite("rho", self.rho)
+        positive_finite("tol", self.tol)
+        integer_at_least("max_iter", self.max_iter, 1)
 
 
 def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray):

@@ -1,8 +1,33 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rules of its inputs."""
+
+import math
+import numbers
 
 
 class WsnMleError(Exception):
     """Base class for all package errors."""
+
+
+class ConfigError(WsnMleError, ValueError):
+    """An input value that breaks its rule, from a config or a library call; the message names it."""
+
+
+def integer_at_least(name: str, value, low: int):
+    """``value``, if it is an integer (not a bool) of at least ``low``; else :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
+def real_number(name: str, value, rule: str, ok) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a real number (not a bool) that ``ok`` accepts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def positive_finite(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a positive finite real number."""
+    real_number(name, value, "positive and finite", lambda v: 0 < v < math.inf)
 
 
 class GraphError(WsnMleError):

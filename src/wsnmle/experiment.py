@@ -11,19 +11,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .consensus import AdmmConfig, DecentralizedRun, decentralized_mle
-from .errors import WsnMleError
+from .errors import ConfigError, WsnMleError, integer_at_least
 from .fusion import compress, decompose_information, ml_estimate, ml_variance, sample_received
 from .gain_optimizer import OptTrace, gains_cannot_move, optimize
-from .network_model import GainDomain, GainVector, NetworkModel, sample_channels
-from .topology import Graph, random_connected_graph, save_graph
+from .network_model import GainDomain, GainVector, NetworkModel, check_channels, check_noise, sample_channels
+from .topology import Graph, check_graph_model, random_connected_graph, save_graph
 
 __all__ = [
     "ExperimentConfig",
@@ -52,7 +51,11 @@ def derive_seed(master_seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Every field is checked when the config is built, by the rule of the
+    module that reads it; a value that breaks one raises :class:`ConfigError`.
+    """
 
     n: int = 16
     topology_model: str = "geometric"   # "geometric" | "gnp"
@@ -72,27 +75,47 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, low in (("n", 1), ("trials", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value!r}")
-        if isinstance(self.constraint, str):
+            integer_at_least(name, getattr(self, name), low)
+        check_graph_model(self.topology_model, self.radius, self.p)
+        check_channels(self.channel_dist, self.sigma_h)
+        object.__setattr__(self, "theta", check_noise(self.sigma_v_sq, self.sigma_n_sq, self.theta)[1])
+        for name, value in (("reciprocal", self.reciprocal), ("noisy_self_link", self.noisy_self_link)):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        try:
             object.__setattr__(self, "constraint", GainDomain(self.constraint))
-        object.__setattr__(self, "theta", complex(self.theta))
+        except ValueError:
+            raise ConfigError(f"constraint must be 'fixed-energy' or 'unimodular', got {self.constraint!r}") from None
+        if not isinstance(self.admm, AdmmConfig):
+            raise ConfigError(f"admm must be an object with keys rho, max_iter and tol, got {self.admm!r}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        if "theta" in doc and isinstance(doc["theta"], (list, tuple)):
-            doc["theta"] = complex(doc["theta"][0], doc["theta"][1])
-        if "admm" in doc and isinstance(doc["admm"], dict):
-            doc["admm"] = AdmmConfig(**doc["admm"])
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """The config a JSON object describes (``admm`` a nested object); a key that names no field raises."""
+        doc = dict(_known_keys(cls, doc, "config"))
+        if "admm" in doc:
+            doc["admm"] = AdmmConfig(**_known_keys(AdmmConfig, doc["admm"], "admm"))
         return cls(**doc)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from None
+        return cls.from_dict(doc)
+
+
+def _known_keys(cls, doc, name: str) -> dict:
+    """``doc``, if it is a dict whose keys all name fields of ``cls``; else :class:`ConfigError`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    known = {f.name for f in fields(cls)}
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {name} key {', '.join(map(repr, unknown))}")
+    return doc
 
 
 def _trial_graph(cfg: ExperimentConfig, n: int, trial: int) -> tuple[Graph, int]:
@@ -245,14 +268,14 @@ def run_variance_sweep(cfg: ExperimentConfig, n_list, out_dir) -> list[dict]:
     step's rows) draws no random gains: all three columns get the
     variance at all-ones.  Trials run one after another in index order;
     failures are counted and skipped.  Every size must be an integer of
-    at least 1; any other entry raises ``ValueError``.  The output
-    directory is made only to write ``sweep.csv``: a sweep that raises
-    leaves none.
+    at least 1 that a per-node ``sigma_v_sq`` fits; any other entry
+    raises :class:`ConfigError` before the first trial, so no trial fails
+    on a config value.  The output directory is made only to write
+    ``sweep.csv``: a sweep that raises leaves none.
     """
     n_list = list(n_list)
-    for n in n_list:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"network sizes must be integers of at least 1, got {n!r}")
+    for i, n in enumerate(n_list):
+        check_noise(cfg.sigma_v_sq, cfg.sigma_n_sq, cfg.theta, integer_at_least(f"n_list[{i}]", n, 1))
     rows = []
     for n in n_list:
         done: list[tuple[float, float, float]] = []

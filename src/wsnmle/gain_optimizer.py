@@ -77,15 +77,22 @@ class OptTrace:
     ``variances[0]`` is the estimator variance at the initial gains;
     subsequent entries follow each outer cycle.  ``gains`` holds the best
     iterate (highest information), which coincides with the last one
-    whenever the run is strictly monotone.
+    whenever the run is strictly monotone; ``var_final`` is its variance,
+    the least recorded, and ``outer_cycles`` the number of cycles run.
     """
 
     variances: list[float] = field(default_factory=list)
     inner_iters_used: list[int] = field(default_factory=list)
     gains: GainVector | None = None
-    var_final: float = 0.0
     converged: bool = False
-    outer_cycles: int = 0
+
+    @property
+    def var_final(self) -> float:
+        return min(self.variances)
+
+    @property
+    def outer_cycles(self) -> int:
+        return len(self.inner_iters_used) - 1
 
 
 def update_y(gm: GlobalModel, a) -> np.ndarray:
@@ -287,6 +294,4 @@ def optimize(gm: GlobalModel, a_init: GainVector) -> OptTrace:
     if best_info <= 0.0:
         raise ZeroInformation("total information is zero at every recorded gain vector")
     trace.gains = best_a
-    trace.var_final = 1.0 / best_info
-    trace.outer_cycles = len(trace.inner_iters_used) - 1
     return trace

@@ -20,18 +20,21 @@ going over the air.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance
+from .errors import ConfigError, DimensionMismatch, SingularCovariance, positive_finite, real_number
 from .topology import Graph
 
 __all__ = [
     "GainDomain",
     "GainVector",
     "NetworkModel",
+    "check_channels",
+    "check_noise",
     "gain_array",
     "project_gains",
     "sample_channels",
@@ -109,6 +112,35 @@ def gain_array(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def check_noise(sigma_v_sq, sigma_n_sq, theta, n: int | None = None) -> tuple[np.ndarray, complex]:
+    """``(sigma_v_sq, theta)`` as a model holds them, or :class:`ConfigError`.
+
+    ``sigma_v_sq``: a positive finite number, or a flat list of them, one
+    for all nodes or one each (``n``, when given); ``sigma_n_sq``:
+    nonnegative and finite; ``theta``: a finite number or ``[re, im]``.
+    """
+    try:
+        sv = np.atleast_1d(np.asarray(sigma_v_sq, dtype=float))
+    except (TypeError, ValueError):
+        sv = np.empty((0, 0))  # fails the shape rule below
+    if sv.ndim != 1 or sv.size == 0:
+        raise ConfigError(f"sigma_v_sq must be a number or a flat list of numbers, got {sigma_v_sq!r}")
+    for v in (sv.min(), sv.max()):
+        positive_finite("sigma_v_sq", float(v))
+    if n is not None and sv.size != n:
+        if sv.size != 1:
+            raise ConfigError(f"sigma_v_sq has {sv.size} entries for {n} nodes")
+        sv = np.full(n, float(sv[0]))
+    real_number("sigma_n_sq", sigma_n_sq, "nonnegative and finite", lambda v: 0 <= v < np.inf)
+    try:
+        z = complex(*theta) if isinstance(theta, (list, tuple)) and len(theta) == 2 else complex(theta)
+    except (TypeError, ValueError):
+        z = complex("nan")  # fails the finiteness rule below
+    if not cmath.isfinite(z):
+        raise ConfigError(f"theta must be a finite number or [re, im] pair, got {theta!r}")
+    return sv, z
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Channels, noise variances, and the true parameter for one network.
@@ -127,19 +159,9 @@ class NetworkModel:
 
     def __post_init__(self):
         g = self.graph
-        sv = np.atleast_1d(np.asarray(self.sigma_v_sq, dtype=float))
-        if sv.size == 1:
-            sv = np.full(g.n, float(sv[0]))
-        if sv.size != g.n:
-            raise DimensionMismatch(f"sigma_v_sq has {sv.size} entries for {g.n} nodes")
-        if not np.all((sv > 0.0) & (sv < np.inf)):
-            raise ValueError("all observation-noise variances must be positive and finite")
+        sv, theta = check_noise(self.sigma_v_sq, self.sigma_n_sq, self.theta, g.n)
         object.__setattr__(self, "sigma_v_sq", sv)
-        if not 0.0 <= self.sigma_n_sq < np.inf:
-            raise ValueError("transmission-noise variance must be nonnegative and finite")
-        object.__setattr__(self, "theta", complex(self.theta))
-        if not np.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        object.__setattr__(self, "theta", theta)
         h = np.asarray(self.h, dtype=complex)
         links = g.links
         if h.shape != links.sender.shape:
@@ -169,6 +191,15 @@ class NetworkModel:
 _BLOCK = 1 << 12
 
 
+def check_channels(dist, sigma_h) -> None:
+    """Raise :class:`ConfigError` unless ``dist`` is ``complex_gaussian`` with a
+    positive finite ``sigma_h``, or ``unit`` (which reads no ``sigma_h``)."""
+    if dist not in ("complex_gaussian", "unit"):
+        raise ConfigError(f"channel_dist must be 'complex_gaussian' or 'unit', got {dist!r}")
+    if dist == "complex_gaussian":
+        positive_finite("sigma_h", sigma_h)
+
+
 def sample_channels(
     graph: Graph,
     dist: str = "complex_gaussian",
@@ -187,10 +218,7 @@ def sample_channels(
     (i, j)`` takes row ``k`` of the draws: ``(i, j)`` first, then
     ``(j, i)``.
     """
-    if dist not in ("complex_gaussian", "unit"):
-        raise ValueError(f"unknown channel distribution {dist!r}")
-    if dist == "complex_gaussian" and not 0 < sigma_h < np.inf:
-        raise ValueError(f"sigma_h must be positive and finite, got {sigma_h}")
+    check_channels(dist, sigma_h)
     links = graph.links
     if dist == "unit":
         return np.ones(links.sender.size, dtype=complex)

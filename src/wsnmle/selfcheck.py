@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consensus import admm_rounds
-from .errors import DimensionMismatch, WsnMleError
+from .errors import DimensionMismatch, WsnMleError, integer_at_least
 from .experiment import ExperimentConfig, build_scenario, optimize_with_reselection
 from .fusion import GlobalModel, compress, decompose_information, information_total, ml_variance, noise_cov_rows
 from .gain_optimizer import Arrow, build_Q, diagonal_load, update_y
@@ -278,7 +278,8 @@ PROPERTY_CHECKS = (
 
 
 def run_all(seed: int = 0, cases: int = 100, n_max: int = 8):
-    """Run every property check; returns one :class:`CheckResult` each."""
+    """Run every property check on ``cases`` random cases; returns one :class:`CheckResult` each."""
+    integer_at_least("cases", cases, 1)  # a run of no case would report every property passed
     results = []
     for name, fn in PROPERTY_CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))

@@ -39,9 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, DuplicateEdge, MalformedGraph, OutOfRange, RetriesExhausted, SelfLoop
+from .errors import (ConfigError, Disconnected, DuplicateEdge, MalformedGraph, OutOfRange, RetriesExhausted, SelfLoop,
+                     real_number)
 
-__all__ = ["Graph", "Links", "random_connected_graph", "save_graph", "load_graph"]
+__all__ = ["Graph", "Links", "check_graph_model", "random_connected_graph", "save_graph", "load_graph"]
 
 
 class Links(NamedTuple):
@@ -242,6 +243,17 @@ def _geometric_links(pos: np.ndarray, radius: float) -> tuple[np.ndarray, Links]
 MAX_RETRIES = 1000
 
 
+def check_graph_model(model, radius, p) -> None:
+    """Raise :class:`ConfigError` unless ``model`` is ``geometric`` with ``radius``
+    in (0, sqrt(2)], or ``gnp`` with ``p`` in (0, 1]; each reads only its own parameter."""
+    if model == "geometric":
+        real_number("radius", radius, "in (0, sqrt(2)]", lambda v: 0.0 < v <= np.sqrt(2.0))
+    elif model == "gnp":
+        real_number("p", p, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    else:
+        raise ConfigError(f"topology_model must be 'geometric' or 'gnp', got {model!r}")
+
+
 def random_connected_graph(
     n: int,
     model: str = "geometric",
@@ -255,17 +267,13 @@ def random_connected_graph(
     Attempt ``k`` uses the RNG stream ``SeedSequence((seed, k))``; the first
     connected sample is returned.  Raises :class:`RetriesExhausted` after
     ``MAX_RETRIES`` disconnected samples, :class:`MalformedGraph` for a
-    node count that is not an integer.
+    node count that is not an integer, :class:`ConfigError` for a model
+    :func:`check_graph_model` rejects.
     """
     _check_count(n)
     if n < 1:
         raise OutOfRange(f"node count must be positive, got {n}")
-    if model == "geometric" and not 0.0 < radius <= np.sqrt(2.0):
-        raise ValueError(f"radius must lie in (0, sqrt(2)], got {radius}")
-    if model == "gnp" and not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if model not in ("geometric", "gnp"):
-        raise ValueError(f"unknown random graph model {model!r}")
+    check_graph_model(model, radius, p)
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         try:

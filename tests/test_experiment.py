@@ -13,7 +13,7 @@ import pytest
 from wsnmle import experiment, gain_optimizer, selfcheck
 from wsnmle.cli import main
 from wsnmle.consensus import AdmmConfig, DecentralizedRun
-from wsnmle.errors import ZeroInformation
+from wsnmle.errors import ConfigError, ZeroInformation
 from wsnmle.experiment import (
     ExperimentConfig,
     build_scenario,
@@ -48,29 +48,93 @@ def test_config_round_trip():
 
 def test_config_validation():
     for name in ("trials", "n"):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least 1, got 0$"):
             ExperimentConfig(**{name: 0})
     for name, count in [("trials", 2.5), ("trials", True), ("n", 8.0), ("n", "8")]:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ExperimentConfig(**{name: count})
+    # Every field is checked when the config is built, not where a run first reads it.
+    for field, value in [("radius", 0), ("p", "x"), ("sigma_h", -1.0), ("sigma_v_sq", [1.0, 0.0]),
+                         ("sigma_n_sq", -1.0), ("theta", [1.0]), ("reciprocal", 1), ("noisy_self_link", "no")]:
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            ExperimentConfig(topology_model="gnp" if field == "p" else "geometric", **{field: value})
+    for field, value in [("topology_model", "tree"), ("channel_dist", "x"), ("constraint", "x"), ("admm", {})]:
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            ExperimentConfig(**{field: value})
+    assert issubclass(ConfigError, ValueError)
+
+
+def _usage_error(capsys, argv, field) -> str:
+    """``main(argv)`` prints nothing on stdout and exits 2 with the subcommand's usage and,
+    as the last stderr line, ``wsnmle <cmd>: error: ...`` naming ``field``; returns that line."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    last = err.splitlines()[-1]
+    assert stop.value.code == 2 and "Traceback" not in err and out == ""
+    assert err.startswith(f"usage: wsnmle {argv[0]}") and last.startswith(f"wsnmle {argv[0]}: error: ")
+    assert field in last, last
+    return last
 
 
 @pytest.mark.parametrize("value", [7.9, "7", True, -1], ids=["float", "str", "bool", "negative"])
-def test_cli_rejects_bad_master_seed(tmp_path, value):
+def test_cli_rejects_bad_master_seed(tmp_path, capsys, value):
     # 7.9 would otherwise draw seed 7's graph, and -1 would fail inside numpy.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"master_seed": value}))
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="master_seed must be"):
-        main(["topology", "--config", str(cfg_path), "--out-dir", str(out)])
+    _usage_error(capsys, ["topology", "--config", str(cfg_path), "--out-dir", str(out)], "master_seed must be")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["xi", "lambda_margin", "inner_iters", "inner_tol", "max_outer"])
 def test_config_rejects_optimizer_constants(key):
     # These are module constants of gain_optimizer, not settings: the config has no "opt" section.
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match="^unknown config key 'opt'$"):
         ExperimentConfig.from_dict({"opt": {"xi": 1e-8, key: 1}})
+    with pytest.raises(ConfigError, match=f"^unknown admm key '{key}'$"):
+        ExperimentConfig.from_dict({"admm": {"rho": 0.5, key: 1}})
+
+
+# A bad config, read by every command: (document, or None for no file; what the error line names).
+_CONFIG_PROBES = {
+    "misspelt-key": ('{"radiuss": 0.3}', "unknown config key 'radiuss'"),
+    "misspelt-admm-key": ('{"admm": {"rhoo": 1}}', "unknown admm key 'rhoo'"),
+    "not-an-object": ("[1]", "config must be a JSON object, got [1]"),
+    "bad-constraint": ('{"constraint": "x"}', "constraint must be"),
+    "bad-json": ("{bad", "cannot read config file 'cfg.json'"),
+    "missing-file": (None, "cannot read config file 'cfg.json'"),
+}
+# Each way a bad value once reached the user, by command: (argv, config document or None, what the error line names).
+_BAD_INPUT = {
+    **{f"{command}-{probe}": ([command, "--config", "cfg.json"], doc, field)
+       for command in ("topology", "optimize", "consensus", "sweep", "selfcheck")
+       for probe, (doc, field) in _CONFIG_PROBES.items()},
+    "sweep-n-list-zero": (["sweep", "--n-list", "0,4"], None, "n_list[0]"),
+    "selfcheck-cases-zero": (["selfcheck", "--cases", "0"], None, "cases"),
+    "topology-seed-negative": (["topology", "--seed", "-1"], None, "master_seed"),
+    "selfcheck-seed-negative": (["selfcheck", "--seed", "-1"], None, "master_seed"),
+    "sweep-trials-zero": (["sweep", "--trials", "0"], None, "trials"),
+    # A per-node sigma_v_sq of the wrong length: optimize and consensus once
+    # raised DimensionMismatch, and sweep counted every trial of n=8 failed.
+    **{f"{command}-sigma-v-length": ([command, *size, "--config", "cfg.json"], doc, field)
+       for command, size, doc, field in [
+           ("optimize", ["--n", "4"], '{"sigma_v_sq": [1, 1, 1]}', "sigma_v_sq has 3 entries for 4 nodes"),
+           ("consensus", ["--n", "4"], '{"sigma_v_sq": [1, 1, 1]}', "sigma_v_sq has 3 entries for 4 nodes"),
+           ("sweep", ["--n-list", "4,8"], '{"sigma_v_sq": [1, 1, 1, 1]}', "sigma_v_sq has 4 entries for 8 nodes"),
+       ]},
+}
+
+
+@pytest.mark.parametrize("argv, doc, field", _BAD_INPUT.values(), ids=_BAD_INPUT.keys())
+def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, doc, field):
+    # One path for every bad value: exit 2, one error line that names it, no
+    # traceback, and nothing written (no sweep row of failed trials either).
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(doc)
+    _usage_error(capsys, argv if argv[0] == "selfcheck" else [*argv, "--out-dir", "out"], field)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if doc is None else ["cfg.json"])
 
 
 def test_derive_seed_stable_and_distinct():
@@ -320,10 +384,10 @@ def test_cli_optimize_without_transmission_noise(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag", [("consensus", "--rho")])
-def test_cli_rejects_non_finite_setting(tmp_path, command, flag, value):
+def test_cli_rejects_non_finite_setting(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="must be positive and finite"):
-        main([command, "--n", "8", "--seed", "7", flag, value, "--out-dir", str(out)])
+    _usage_error(capsys, [command, "--n", "8", "--seed", "7", flag, value, "--out-dir", str(out)],
+                 "rho must be positive and finite")
     assert not out.exists()  # rejected before any output or solver run
 
 
@@ -334,29 +398,30 @@ _NON_FINITE_MODEL = {
     "sigma_v_sq-inf": '{"sigma_v_sq": Infinity}',
     "sigma_h-nan": '{"sigma_h": NaN}',
     "radius-zero": '{"radius": 0}',
-}
+}  # each key names its field, then a dash
 
 
-@pytest.mark.parametrize("command, doc", [
-    pytest.param(command, doc, id=key if command == "consensus" else f"{command}-{key}")
+@pytest.mark.parametrize("command, key", [
+    pytest.param(command, key, id=key if command == "consensus" else f"{command}-{key}")
     for command in ("consensus", "optimize", "sweep")
-    for key, doc in _NON_FINITE_MODEL.items()
+    for key in _NON_FINITE_MODEL
 ])
-def test_cli_rejects_non_finite_model_config(tmp_path, command, doc):
+def test_cli_rejects_non_finite_model_config(tmp_path, capsys, command, key):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(doc)  # json reads NaN and Infinity
+    cfg_path.write_text(_NON_FINITE_MODEL[key])  # json reads NaN and Infinity
     out = tmp_path / "out"
     size = ["--n-list", "8"] if command == "sweep" else ["--n", "8"]
-    with pytest.raises(ValueError, match="finite|radius must lie"):
-        main([command, "--config", str(cfg_path), *size, "--seed", "7", "--out-dir", str(out)])
-    assert not out.exists()  # sweep too: its first trial raises before sweep.csv is written
+    field = key.rsplit("-", 1)[0]
+    line = _usage_error(capsys, [command, "--config", str(cfg_path), *size, "--seed", "7", "--out-dir", str(out)],
+                        f"error: {field} must be")
+    assert "finite" in line or field == "radius"
+    assert not out.exists()  # rejected when the config is built, before any trial
 
 
 @pytest.mark.parametrize("command", ["topology", "optimize"])
-def test_cli_rejects_zero_n(tmp_path, command):
+def test_cli_rejects_zero_n(tmp_path, capsys, command):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="n must be at least 1"):
-        main([command, "--n", "0", "--out-dir", str(out)])
+    _usage_error(capsys, [command, "--n", "0", "--out-dir", str(out)], "error: n must be an integer of at least 1, got 0")
     assert not out.exists()
 
 
@@ -365,43 +430,52 @@ def test_cli_rejects_zero_n(tmp_path, command):
     ("sweep", '{"trials": 2.5}'),
     ("consensus", '{"n": 8.0}'),
 ], ids=["max_iter", "trials", "n"])
-def test_cli_rejects_non_integer_count(tmp_path, command, doc):
+def test_cli_rejects_non_integer_count(tmp_path, capsys, request, command, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(doc)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="must be an integer"):
-        main([command, "--config", str(cfg_path), "--out-dir", str(out)])
+    field = request.node.callspec.id
+    _usage_error(capsys, [command, "--config", str(cfg_path), "--out-dir", str(out)], f"error: {field} must be an integer")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("n_list", [[0, 4], [4, -1], [True], [4.0], ["4"]], ids=["zero", "negative", "bool", "float", "str"])
 def test_sweep_rejects_bad_n_list(tmp_path, n_list):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="network sizes must be integers"):
+    with pytest.raises(ConfigError, match=r"^n_list\[\d\] must be an integer of at least 1"):
         run_variance_sweep(ExperimentConfig(trials=1), n_list, out)
     assert not out.exists()
 
 
-def _cli_sweep_exit(tmp_path, capsys, n_list):
+def test_sweep_rejects_a_per_node_variance_list_that_does_not_fit_every_size(tmp_path):
+    # It once ran every trial of the second size into a failure and wrote a NaN row.
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as stop:
-        main(["sweep", "--n-list", n_list, "--trials", "1", "--out-dir", str(out)])
-    err = capsys.readouterr().err
-    assert stop.value.code == 2
+    with pytest.raises(ConfigError, match="^sigma_v_sq has 4 entries for 8 nodes$"):
+        run_variance_sweep(ExperimentConfig(sigma_v_sq=[1.0] * 4, trials=1), [4, 8], out)
     assert not out.exists()
-    return err
+    rows = run_variance_sweep(ExperimentConfig(sigma_v_sq=[1.0] * 4, trials=1), [4], out)
+    assert rows[0]["trials"] == 1 and rows[0]["failures"] == 0
+
+
+def _cli_sweep_exit(tmp_path, capsys, n_list, field):
+    out = tmp_path / "out"
+    line = _usage_error(capsys, ["sweep", "--n-list", n_list, "--trials", "1", "--out-dir", str(out)], field)
+    assert not out.exists()
+    return line
 
 
 def test_cli_sweep_rejects_zero_size(tmp_path, capsys):
-    err = _cli_sweep_exit(tmp_path, capsys, "0,4")
-    assert err.startswith("usage: wsnmle sweep") and "integers of at least 1, got '0,4'" in err
+    # argparse reads the integers; run_variance_sweep holds the range rule.
+    line = _cli_sweep_exit(tmp_path, capsys, "0,4", "n_list[0]")
+    assert line == "wsnmle sweep: error: n_list[0] must be an integer of at least 1, got 0"
 
 
 @pytest.mark.parametrize("n_list", ["4,x", "4,-1", "4.0", "x", ","], ids=["word", "negative", "float", "only-word", "no-size"])
 def test_cli_sweep_rejects_bad_n_list(tmp_path, capsys, n_list):
-    err = _cli_sweep_exit(tmp_path, capsys, n_list)
-    assert "usage: wsnmle sweep" in err and "Traceback" not in err
-    assert f"argument --n-list: expected comma-separated integers of at least 1, got {n_list!r}" in err
+    if n_list == "4,-1":  # integers, one out of range
+        _cli_sweep_exit(tmp_path, capsys, n_list, "n_list[1] must be an integer of at least 1, got -1")
+    else:
+        _cli_sweep_exit(tmp_path, capsys, n_list, f"argument --n-list: expected comma-separated integers, got {n_list!r}")
 
 
 def test_cli_consensus_and_sweep(tmp_path):
@@ -429,14 +503,12 @@ def test_cli_selfcheck(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cases", ["0", "-3", "x"])
-def test_cli_selfcheck_rejects_case_count(tmp_path, capsys, cases):
+def test_cli_selfcheck_rejects_case_count(capsys, cases):
     # A run that checks no case must not report seven passes.
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as stop:
-        main(["selfcheck", "--cases", cases])
-    err = capsys.readouterr().err
-    assert stop.value.code == 2
-    assert "usage: wsnmle selfcheck" in err and f"expected an integer of at least 1, got {cases!r}" in err
+    if cases == "x":
+        _usage_error(capsys, ["selfcheck", "--cases", cases], "argument --cases: invalid int value: 'x'")
+    else:
+        _usage_error(capsys, ["selfcheck", "--cases", cases], f"cases must be an integer of at least 1, got {cases}")
 
 
 # The flags each subcommand takes, as its --help lists them.
