@@ -19,9 +19,14 @@ def integer_at_least(name: str, value, low: int):
     return value
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a number of ``kind`` (``numbers.Real`` or ``numbers.Complex``) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def real_number(name: str, value, rule: str, ok) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a real number (not a bool) that ``ok`` accepts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+    if not is_number(value) or not ok(value):
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -221,8 +221,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
     """One full scenario: optimize gains, then estimate decentralizedly.
 
     Writes ``consensus_trace.csv`` plus ``summary.json`` (centralized
-    reference estimate, its variance, final disagreement) and returns the
-    summary.
+    reference estimate, its variance, final disagreement, the step
+    constant consensus ran with) and returns the summary.
     """
     g, model = build_scenario(cfg)  # rejects a bad model before any output exists
     out = Path(out_dir)
@@ -245,6 +245,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
         "iterations": run.iterations,
         "converged": run.converged,
         "final_disagreement": final_disagreement,
+        "rho": run.rho,
     }
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

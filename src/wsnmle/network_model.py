@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SingularCovariance, positive_finite, real_number
+from .errors import ConfigError, DimensionMismatch, SingularCovariance, is_number, positive_finite, real_number
 from .topology import Graph
 
 __all__ = [
@@ -118,11 +119,15 @@ def check_noise(sigma_v_sq, sigma_n_sq, theta, n: int | None = None) -> tuple[np
     ``sigma_v_sq``: a positive finite number, or a flat list of them, one
     for all nodes or one each (``n``, when given); ``sigma_n_sq``:
     nonnegative and finite; ``theta``: a finite number or ``[re, im]``.
+    A number is never a bool or a string, and each list entry is checked
+    (``np.asarray([True, 2])`` would be an int array); an array's dtype
+    must be integer or float.
     """
-    try:
-        sv = np.atleast_1d(np.asarray(sigma_v_sq, dtype=float))
-    except (TypeError, ValueError):
-        sv = np.empty((0, 0))  # fails the shape rule below
+    if isinstance(sigma_v_sq, np.ndarray):
+        numeric = sigma_v_sq.dtype.kind in "iuf"
+    else:
+        numeric = all(map(is_number, sigma_v_sq if isinstance(sigma_v_sq, (list, tuple)) else [sigma_v_sq]))
+    sv = np.atleast_1d(np.asarray(sigma_v_sq, dtype=float)) if numeric else np.empty((0, 0))
     if sv.ndim != 1 or sv.size == 0:
         raise ConfigError(f"sigma_v_sq must be a number or a flat list of numbers, got {sigma_v_sq!r}")
     for v in (sv.min(), sv.max()):
@@ -132,9 +137,11 @@ def check_noise(sigma_v_sq, sigma_n_sq, theta, n: int | None = None) -> tuple[np
             raise ConfigError(f"sigma_v_sq has {sv.size} entries for {n} nodes")
         sv = np.full(n, float(sv[0]))
     real_number("sigma_n_sq", sigma_n_sq, "nonnegative and finite", lambda v: 0 <= v < np.inf)
-    try:
-        z = complex(*theta) if isinstance(theta, (list, tuple)) and len(theta) == 2 else complex(theta)
-    except (TypeError, ValueError):
+    if isinstance(theta, (list, tuple)) and len(theta) == 2 and all(map(is_number, theta)):
+        z = complex(*theta)
+    elif is_number(theta, numbers.Complex):
+        z = complex(theta)
+    else:
         z = complex("nan")  # fails the finiteness rule below
     if not cmath.isfinite(z):
         raise ConfigError(f"theta must be a finite number or [re, im] pair, got {theta!r}")

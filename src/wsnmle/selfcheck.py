@@ -3,9 +3,9 @@
 Each check runs a batch of small random instances (networks of up to 8
 nodes by default) and returns ``None`` on success or a message naming the
 first violated property.  Each check reaches the pieces it tests
-(``admm_rounds``, ``build_Q``, ``diagonal_load``, ...) through this
-module's globals, so a test can patch in a deliberately broken one and
-see that its check fails.
+(``admm_rounds``, ``fitted_rho``, ``build_Q``, ``diagonal_load``, ...)
+through this module's globals, so a test can patch in a deliberately
+broken one and see that its check fails.
 The dense reference forms of the optimizer's two arrow matrices
 (:func:`build_R`, :func:`g_value`, :func:`dense_arrow`), which the
 optimizer itself never forms, live here for those checks and the tests.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import admm_rounds
+from .consensus import admm_rounds, fitted_rho
 from .errors import DimensionMismatch, WsnMleError, integer_at_least
 from .experiment import ExperimentConfig, build_scenario, optimize_with_reselection
 from .fusion import GlobalModel, compress, decompose_information, information_total, ml_variance, noise_cov_rows
@@ -160,7 +160,8 @@ def check_consensus(rng, cases, n_max):
     """Convergence to the mean and stationarity of the consensus round.
 
     Each case draws a G(n, 0.5) graph, n from :func:`_random_size`, and complex
-    initial values, then runs rho = 0.1, 0.5 and 2.0 from zero state.
+    initial values, then runs rho = 0.1, 0.5, 2.0 and the graph's
+    :func:`fitted_rho` from zero state.
     Every run must come within 1e-9 of the mean in at most 5,000 rounds,
     and one more round from there must move no copy by more than 1e-6.
     """
@@ -169,7 +170,7 @@ def check_consensus(rng, cases, n_max):
         g = random_connected_graph(n, "gnp", p=0.5, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         target = np.mean(x)
-        for rho in (0.1, 0.5, 2.0):
+        for rho in (0.1, 0.5, 2.0, fitted_rho(g)):
             rounds = admm_rounds(g, rho, x, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
             for _, (y, _lam) in zip(range(5000), rounds):
                 if float(np.max(np.abs(y - target))) <= 1e-9:

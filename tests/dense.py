@@ -102,3 +102,23 @@ def water_filling_information(gm):
     p *= n / p.sum()
     x = c * p[senders]
     return float(np.sum(x / (x * sv + t)) + np.sum(1.0 / gm.row_sigma_v()[~noisy]))
+
+
+def dense_laplacian(g):
+    """The n-by-n graph Laplacian ``diag(d) - A`` of a graph."""
+    A = edge_mask(g.n, g.edges).astype(float)
+    return np.diag(A.sum(axis=1)) - A
+
+
+def round_map(g, rho):
+    """The 2n-by-2n matrix of one consensus round on ``(y, lam)``, input term left out.
+
+    ``admm_rounds``' updates, ``y' = B y - D^-1 lam + D^-1 x`` with
+    ``D = I + 2 rho diag(d)`` and ``B = rho D^-1 (diag(d) + A)``, then
+    ``lam' = lam + rho L y'``, stacked.
+    """
+    L = dense_laplacian(g)
+    d = np.diag(L)
+    D_inv = np.diag(1.0 / (1.0 + 2.0 * rho * d))
+    B = rho * D_inv @ (2.0 * np.diag(d) - L)
+    return np.block([[B, -D_inv], [rho * L @ B, np.eye(g.n) - rho * L @ D_inv]])

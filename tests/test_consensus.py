@@ -1,12 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense import dense_laplacian, round_map
 from wsnmle.consensus import (
     AdmmConfig,
     admm_rounds,
+    algebraic_connectivity,
     decentralized_mle,
+    fitted_rho,
 )
 from wsnmle.errors import DimensionMismatch, Disconnected, ZeroInformation
 from wsnmle.experiment import recorded_run
@@ -123,6 +127,7 @@ def _per_round_decentralized_mle(g, cfg, I0, P0):
 
 
 def test_config_validation():
+    assert AdmmConfig().rho is None  # fitted to each graph
     with pytest.raises(ValueError):
         AdmmConfig(rho=0.0)
     with pytest.raises(ValueError):
@@ -450,3 +455,115 @@ def test_default_run_keeps_no_history():
     assert run.converged and run.iterations > 100
     assert run.I.shape == run.P.shape == (1, g.n)
     assert peak < 2 * 2**20
+
+
+# --- the step constant fitted to the graph --------------------------------------
+
+
+def _lattice(k):
+    ids = np.arange(k * k).reshape(k, k)
+    across = np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1)
+    down = np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1)
+    return Graph(k * k, np.concatenate((across, down)))
+
+
+_FIT_GRAPHS = {
+    "geo16": lambda: random_connected_graph(16, "geometric", radius=0.5, seed=21),
+    "geo128": lambda: random_connected_graph(128, "geometric", radius=0.2, seed=22),
+    "geo512": lambda: random_connected_graph(512, "geometric", radius=0.1, seed=23),
+    "lattice32x32": lambda: _lattice(32),
+    "path64": lambda: Graph(64, [(i, i + 1) for i in range(63)]),
+    "star64": lambda: Graph(64, [(0, j) for j in range(1, 64)]),
+    "complete32": lambda: Graph(32, [(i, j) for i in range(32) for j in range(i + 1, 32)]),
+    "pair": lambda: Graph(2, [(0, 1)]),
+}
+
+
+def _dense_fitted_rho(g):
+    # The same formula and rounding on the dense Laplacian's exact lambda_2.
+    L = dense_laplacian(g)
+    lam2 = np.linalg.eigvalsh(L)[1]
+    harmonic = g.n / np.sum(1.0 / np.diag(L))
+    return lam2, float(f"{0.6 / math.sqrt(2.0 * harmonic * lam2):.3g}")
+
+
+@pytest.mark.parametrize("graph", list(_FIT_GRAPHS))
+def test_fitted_rho_matches_dense_reference(graph):
+    g = _FIT_GRAPHS[graph]()
+    lam2, rho = _dense_fitted_rho(g)
+    estimate = algebraic_connectivity(g)
+    # Ritz values interlace: an early Lanczos stop may only overestimate
+    # lambda_2 (beyond rounding, which is relative to the norm of L), and
+    # so only shrink rho.
+    assert estimate >= lam2 - 1e-12 * np.abs(dense_laplacian(g)).sum(axis=1).max()
+    fitted = fitted_rho(g)
+    assert fitted <= rho
+    assert fitted >= 0.99 * rho, (fitted, rho)
+    if graph in ("star64", "complete32", "pair"):  # Krylov spaces that close after two steps or one
+        assert fitted == rho
+
+
+def test_fitted_rho_on_a_single_node_is_defined():
+    g = Graph(1, [])
+    assert algebraic_connectivity(g) == 0.0
+    assert fitted_rho(g) == 1.0
+    run = decentralized_mle(g, AdmmConfig(), np.ones(1), np.array([2.0 - 1.0j]))
+    assert (run.rho, run.iterations, run.converged) == (1.0, 1, True)
+
+
+def test_decentralized_mle_runs_and_reports_the_fitted_rho():
+    g = _LOOP_GRAPHS["geo120"]()
+    rng = np.random.default_rng(24)
+    I0 = rng.uniform(0.5, 2.0, g.n)
+    P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    fitted = decentralized_mle(g, AdmmConfig(), I0, P0)
+    given = decentralized_mle(g, AdmmConfig(rho=fitted_rho(g)), I0, P0)
+    assert fitted.rho == given.rho == fitted_rho(g)
+    assert fitted.I.tobytes() == given.I.tobytes() and fitted.P.tobytes() == given.P.tobytes()
+    assert fitted.iterations == given.iterations
+    assert decentralized_mle(g, AdmmConfig(rho=0.5), I0, P0).rho == 0.5
+
+
+def _predicted_rounds(g, rho, x, tol):
+    # Rounds until the spectral bound on a stream's distance to its mean is
+    # within tol * max(1, |mean|).  The state's error from the fixed point
+    # (y, lam) = (mean, x - mean) evolves by the round map M; on the span of
+    # the eigenvectors whose eigenvalue is not 1 (the start's error lies
+    # there, as lam's sum never moves) it is sum_j c_j mu_j^k v_j, so every
+    # y-entry's distance is at most r^k sum_j |c_j v_j|, with r the largest
+    # modulus among those eigenvalues.
+    n = g.n
+    mu, V = np.linalg.eig(round_map(g, rho))
+    mean = np.mean(x)
+    error = np.concatenate((np.full(n, -mean), mean - x)).astype(complex)
+    c = np.linalg.solve(V, error)
+    moving = np.abs(mu - 1.0) > 1e-9
+    r = float(np.max(np.abs(mu[moving])))
+    bound = float(np.max(np.abs(V[:n, moving]) @ np.abs(c[moving])))
+    return max(0, math.ceil(math.log(tol * max(1.0, abs(mean)) / bound) / math.log(r))), r
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: random_connected_graph(16, "geometric", radius=0.5, seed=1),
+        lambda: random_connected_graph(64, "geometric", radius=0.3, seed=2),
+        lambda: random_connected_graph(100, "geometric", radius=0.2, seed=3),
+        lambda: random_connected_graph(40, "gnp", p=0.15, seed=4),
+        lambda: random_connected_graph(100, "gnp", p=0.08, seed=5),
+    ],
+    ids=["geo16", "geo64", "geo100", "gnp40", "gnp100"],
+)
+def test_rounds_are_within_the_spectral_prediction(graph):
+    g = graph()
+    rng = np.random.default_rng(g.n)
+    I0 = rng.uniform(0.5, 2.0, g.n)
+    P0 = I0 * (1.5 - 0.5j) + rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    moduli = {}
+    for rho in (0.5, fitted_rho(g)):
+        run = decentralized_mle(g, AdmmConfig(rho=rho, tol=1e-8), I0, P0)
+        (rounds_I, r), (rounds_P, _) = (_predicted_rounds(g, rho, x, 1e-8) for x in (I0, P0))
+        assert run.converged and run.iterations <= max(rounds_I, rounds_P) + 1, (rho, run.iterations)
+        moduli[rho] = r
+    # The fit lowers the rate the round map contracts at.
+    assert moduli[fitted_rho(g)] < moduli[0.5]

@@ -58,6 +58,11 @@ def test_config_validation():
                          ("sigma_n_sq", -1.0), ("theta", [1.0]), ("reciprocal", 1), ("noisy_self_link", "no")]:
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             ExperimentConfig(topology_model="gnp" if field == "p" else "geometric", **{field: value})
+    # A number is never a string or a bool, inside a list too.
+    for field, value in [("sigma_v_sq", "2"), ("sigma_v_sq", True), ("sigma_v_sq", [True, 2]),
+                         ("theta", "1+2j"), ("theta", True), ("theta", [True, 0])]:
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            ExperimentConfig(**{field: value})
     for field, value in [("topology_model", "tree"), ("channel_dist", "x"), ("constraint", "x"), ("admm", {})]:
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             ExperimentConfig(**{field: value})
@@ -104,6 +109,12 @@ _CONFIG_PROBES = {
     "bad-constraint": ('{"constraint": "x"}', "constraint must be"),
     "bad-json": ("{bad", "cannot read config file 'cfg.json'"),
     "missing-file": (None, "cannot read config file 'cfg.json'"),
+    "sigma-v-string": ('{"sigma_v_sq": "2"}', "sigma_v_sq must be"),
+    "sigma-v-bool": ('{"sigma_v_sq": true}', "sigma_v_sq must be"),
+    "sigma-v-bool-entry": ('{"sigma_v_sq": [true, 2]}', "sigma_v_sq must be"),
+    "theta-string": ('{"theta": "1+2j"}', "theta must be"),
+    "theta-bool": ('{"theta": true}', "theta must be"),
+    "theta-bool-entry": ('{"theta": [true, 0]}', "theta must be"),
 }
 # Each way a bad value once reached the user, by command: (argv, config document or None, what the error line names).
 _BAD_INPUT = {
@@ -218,7 +229,7 @@ def _edge_case_run(n):
     I[0], P[0] = 0.0, 0.0
     I[1, ::3] = 1e-10
     I[2, ::5], P[2, ::5] = -0.0, complex(-0.0, -0.0)
-    run = DecentralizedRun(I=I, P=P, converged=False, iterations=5, disagreement=1.0)
+    run = DecentralizedRun(I=I, P=P, converged=False, iterations=5, disagreement=1.0, rho=0.5)
     return run, 0.75 - 1.25j
 
 

@@ -6,10 +6,13 @@ The files in ``tests/golden/`` were written by::
     wsnmle sweep --n-list 4,8 --trials 3 --seed 7   # sweep_fixed_energy.csv
     wsnmle topology --n 16 --seed 7
     wsnmle consensus --n 8 --seed 7      # consensus_trace.csv, summary.json
+    wsnmle consensus --n 8 --seed 7 --rho 0.5   # consensus_trace_rho0.5.csv
     wsnmle optimize --n 8 --seed 7       # opt_trace.csv, gains.csv
 
 The second sweep runs the default fixed-energy gains; its ``sweep.csv``
-is kept as ``sweep_fixed_energy.csv``.  A change that alters them on
+is kept as ``sweep_fixed_energy.csv``.  The second consensus run sets the
+step constant the first one fits to the graph; its trace is kept as
+``consensus_trace_rho0.5.csv``.  A change that alters them on
 purpose regenerates them with these commands and says why in CHANGES.md.
 """
 
@@ -35,11 +38,12 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
         (["topology", "--n", "16", "--seed", "7"], "graph.json", "graph.json"),
         (CONSENSUS, "consensus_trace.csv", "consensus_trace.csv"),
         (CONSENSUS, "summary.json", "summary.json"),
+        (CONSENSUS + ["--rho", "0.5"], "consensus_trace.csv", "consensus_trace_rho0.5.csv"),
         (OPTIMIZE, "opt_trace.csv", "opt_trace.csv"),
         (OPTIMIZE, "gains.csv", "gains.csv"),
     ],
     ids=["sweep", "sweep-fixed-energy", "topology", "consensus-trace", "consensus-summary",
-         "optimize-trace", "optimize-gains"],
+         "consensus-trace-rho0.5", "optimize-trace", "optimize-gains"],
 )
 def test_output_bytes_match_golden(tmp_path, argv, name, golden):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
