@@ -83,95 +83,52 @@ class AdmmConfig:
         integer_at_least("max_iter", self.max_iter, 1)
 
 
-def _neighbour_sum(g: Graph):
-    """The node degrees, and the function that sums a node array over each node's neighbours.
-
-    The sum gathers over the graph's link table without its self links
-    (the concatenated neighbour lists), along the last axis: O(|E|) work
-    and memory per call.
-    """
-    links = g.links
-    send = np.delete(links.sender, links.own)
-    starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
-
-    def neighbour_sum(v):
-        if send.size == 0:  # a single node; reduceat cannot take no indices
-            return np.zeros_like(v)
-        return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
-
-    # Graph is connected: no segment is empty for n > 1.
-    return np.diff(starts, append=send.size), neighbour_sum
-
-
-def _smallest_eigenvalue(T, lo: float, hi: float, rtol: float) -> tuple[float, float]:
-    """Bisect ``[lo, hi]`` for the smallest eigenvalue of a symmetric tridiagonal until ``hi - lo <= rtol * hi``.
-
-    ``T`` holds ``(diagonal, squared off-diagonal above it)`` pairs.  A
-    shift ``s`` lies below the eigenvalue when every pivot of the LDL^T
-    factorization of ``T - s I`` (a Sturm sequence) is positive.  ``lo``
-    must lie below it and ``hi`` not; the bracket returned keeps that.
-    """
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        pivot = 1.0
-        for a, b2 in T:
-            pivot = a - mid - b2 / pivot
-            if pivot <= 0.0:
-                hi = mid
-                break
-        else:
-            lo = mid
-    return lo, hi
-
-
 def algebraic_connectivity(g: Graph) -> float:
     """The second-smallest eigenvalue ``lambda_2`` of the graph Laplacian, from above, by Lanczos.
 
-    Lanczos runs on ``L = diag(d) - A`` with :func:`admm_rounds`'
-    neighbour sum, from a fixed-seed start vector, and projects the mean
-    (``L``'s null vector) out at every step, so its Ritz values are those
-    of ``L`` on the vectors of mean zero, whose smallest eigenvalue is
-    ``lambda_2``.  Every :data:`LANCZOS_CHECK` steps it takes the smallest
-    Ritz value, the smallest eigenvalue of the Lanczos tridiagonal, by
-    Sturm bisection, and it stops once that value moved by less than
-    :data:`LANCZOS_RTOL` since the last test, at an invariant subspace, or
-    after :data:`LANCZOS_STEPS` steps.  By interlacing the Ritz value only
-    falls towards ``lambda_2`` as steps are added, so an early stop
-    overestimates.  The result is within one part in 1e12 of the last
-    Ritz value, and never below it.  A single node has no ``lambda_2``: 0.
+    Lanczos runs on ``L = (D + I) - (A + I)``, one ``reduceat`` over the
+    link table with its self links per step, from a fixed-seed start
+    vector, and projects the mean (``L``'s null vector) out at every step,
+    so its Ritz values are those of ``L`` on the vectors of mean zero,
+    whose smallest eigenvalue is ``lambda_2``.  Every
+    :data:`LANCZOS_CHECK` steps it takes the smallest Ritz value, the
+    smallest eigenvalue of the Lanczos tridiagonal by ``np.linalg.eigvalsh``,
+    and it stops once that value moved by less than :data:`LANCZOS_RTOL`
+    since the last test, at an invariant subspace, or after
+    :data:`LANCZOS_STEPS` steps.  By interlacing the Ritz value only falls
+    towards ``lambda_2`` as steps are added, so an early stop
+    overestimates.  A single node has no ``lambda_2``: 0.
     """
     n = g.n
     if n == 1:
         return 0.0
-    degrees, neighbour_sum = _neighbour_sum(g)
-    d = degrees.astype(float)
-    tiny = 1e-12 * 2.0 * float(d.max())  # 2 max(d) bounds the norm of L
+    links = g.links
+    d1 = np.diff(links.starts, append=links.sender.size).astype(float)  # degree + 1, the self link
+    tiny = 1e-12 * 2.0 * float(d1.max() - 1.0)  # 2 max(d) bounds the norm of L
     v = np.random.default_rng(0).standard_normal(n)
     v -= v.mean()
     v /= math.sqrt(float(v @ v))
     prev = np.zeros(n)
+    T = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))  # the tridiagonal's lower triangle
     beta = 0.0
-    T = []
     k = 0
     while True:
-        k += 1
-        w = d * v - neighbour_sum(v)
+        w = d1 * v - np.add.reduceat(v[links.sender], links.starts)
         w -= beta * prev
         alpha = float(w @ v)
         w -= alpha * v
         w -= w.mean()
-        T.append((alpha, beta * beta))
+        T[k, k] = alpha
+        k += 1
         beta = math.sqrt(float(w @ w))
         if k == 1:
             ritz = alpha  # the one eigenvalue of T_1
         stop = beta <= tiny or k == LANCZOS_STEPS
         if stop or k % LANCZOS_CHECK == 0:
-            last = ritz
-            lo, ritz = _smallest_eigenvalue(T, 0.0, ritz, 1e-3)
+            last, ritz = ritz, float(np.linalg.eigvalsh(T[:k, :k])[0])
             if stop or ritz > (1.0 - LANCZOS_RTOL) * last:
-                return _smallest_eigenvalue(T, lo, ritz, 1e-12)[1]
+                return ritz
+        T[k, k - 1] = beta
         prev, v = v, w / beta
 
 
@@ -185,7 +142,7 @@ def fitted_rho(g: Graph) -> float:
     """
     if g.n == 1:
         return 1.0
-    degrees, _ = _neighbour_sum(g)
+    degrees = np.diff(g.links.starts, append=g.links.sender.size) - 1  # less the self link
     harmonic = g.n / float(np.sum(1.0 / degrees))
     return float(f"{FIT_CONSTANT / math.sqrt(2.0 * harmonic * algebraic_connectivity(g)):.3g}")
 
@@ -203,7 +160,17 @@ def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndar
     """
     if any(np.shape(v)[-1:] != (g.n,) for v in (x, y, lam)):
         raise DimensionMismatch(f"x, y and lam must have one entry per node ({g.n}) on the last axis")
-    degrees, neighbour_sum = _neighbour_sum(g)
+    links = g.links
+    send = np.delete(links.sender, links.own)
+    starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
+
+    def neighbour_sum(v):
+        if send.size == 0:  # a single node; reduceat cannot take no indices
+            return np.zeros_like(v)
+        return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
+
+    # Graph is connected: no segment is empty for n > 1.
+    degrees = np.diff(starts, append=send.size)
     # The degrees are floats in the streams' full shape, so no round casts or broadcasts them.
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(lam))
     d = np.broadcast_to(degrees, shape).astype(float)

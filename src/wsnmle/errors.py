@@ -20,8 +20,15 @@ def integer_at_least(name: str, value, low: int):
 
 
 def is_number(value, kind=numbers.Real) -> bool:
-    """Whether ``value`` is a number of ``kind`` (``numbers.Real`` or ``numbers.Complex``) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether ``value`` is a number of ``kind`` (``numbers.Real`` or ``numbers.Complex``), not a bool,
+    and within float range."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        complex(value)  # an integer beyond float range overflows
+    except OverflowError:
+        return False
+    return True
 
 
 def real_number(name: str, value, rule: str, ok) -> None:

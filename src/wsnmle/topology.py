@@ -304,7 +304,10 @@ def save_graph(g: Graph, path, *, seed=None, model=None) -> None:
 def load_graph(path):
     """Read a file :func:`save_graph` wrote: ``(graph, seed, model)``, or
     :class:`MalformedGraph` unless it is a JSON object with ``n`` and ``edges``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise MalformedGraph(f"a graph file holds JSON text: {exc}") from None
     if not isinstance(doc, dict) or not {"n", "edges"} <= doc.keys():
         raise MalformedGraph("a graph file holds a JSON object with keys 'n' and 'edges'")
     return Graph(doc["n"], doc["edges"]), doc.get("seed"), doc.get("model")

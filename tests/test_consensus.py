@@ -476,6 +476,7 @@ _FIT_GRAPHS = {
     "star64": lambda: Graph(64, [(0, j) for j in range(1, 64)]),
     "complete32": lambda: Graph(32, [(i, j) for i in range(32) for j in range(i + 1, 32)]),
     "pair": lambda: Graph(2, [(0, 1)]),
+    "gnp300": lambda: random_connected_graph(300, "gnp", p=0.03, seed=0),
 }
 
 
@@ -501,6 +502,18 @@ def test_fitted_rho_matches_dense_reference(graph):
     assert fitted >= 0.99 * rho, (fitted, rho)
     if graph in ("star64", "complete32", "pair"):  # Krylov spaces that close after two steps or one
         assert fitted == rho
+
+
+# The fitted values to the digit, so a change to the Lanczos steps or to its
+# stop test that moves any of them shows (no golden reaches the stop test:
+# the n = 8 golden's Krylov space closes at step 7, before the first test).
+_FIT_RHO = {"geo16": 0.15, "geo128": 0.197, "geo512": 0.31, "lattice32x32": 2.2, "path64": 6.21,
+            "star64": 0.421, "complete32": 0.0135, "pair": 0.3, "gnp300": 0.0964}
+
+
+@pytest.mark.parametrize("graph", list(_FIT_RHO))
+def test_fitted_rho_is_pinned(graph):
+    assert fitted_rho(_FIT_GRAPHS[graph]()) == _FIT_RHO[graph]
 
 
 def test_fitted_rho_on_a_single_node_is_defined():

@@ -69,6 +69,26 @@ def test_config_validation():
     assert issubclass(ConfigError, ValueError)
 
 
+@pytest.mark.parametrize("field, build", [
+    ("sigma_n_sq", lambda big: ExperimentConfig(sigma_n_sq=big)),
+    ("sigma_h", lambda big: ExperimentConfig(sigma_h=big)),
+    ("rho", lambda big: AdmmConfig(rho=big)),
+    ("tol", lambda big: AdmmConfig(tol=big)),
+    ("sigma_v_sq", lambda big: ExperimentConfig(sigma_v_sq=big)),
+    ("sigma_v_sq", lambda big: ExperimentConfig(sigma_v_sq=[1.0, big])),
+    ("theta", lambda big: ExperimentConfig(theta=big)),
+    ("theta", lambda big: ExperimentConfig(theta=[big, 0])),
+    ("radius", lambda big: ExperimentConfig(radius=big)),
+    ("p", lambda big: ExperimentConfig(topology_model="gnp", p=big)),
+], ids=["sigma_n_sq", "sigma_h", "rho", "tol", "sigma_v_sq", "sigma_v_sq-entry", "theta", "theta-entry",
+        "radius", "p"])
+def test_config_rejects_integers_beyond_float_range(field, build):
+    # A JSON integer of 400 digits: exact comparisons with inf once let it
+    # through, and float conversions raised a bare OverflowError.
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        build(10**400)
+
+
 def _usage_error(capsys, argv, field) -> str:
     """``main(argv)`` prints nothing on stdout and exits 2 with the subcommand's usage and,
     as the last stderr line, ``wsnmle <cmd>: error: ...`` naming ``field``; returns that line."""

@@ -149,7 +149,10 @@ def test_parameter_validation():
 
 def _graph_file(tmp_path, text):
     path = tmp_path / "graph.json"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -175,6 +178,8 @@ def test_json_round_trip_bit_exact(tmp_path):
     '{"n":3.0,"edges":[[0,1],[1,2]]}',
     '{"n":true,"edges":[]}',
     '{"n":"2","edges":[[0,1]]}',
+    "{",          # not JSON
+    b"\xff\xfe",  # not UTF-8
 ])
 def test_load_graph_rejects_malformed_file(tmp_path, text):
     with pytest.raises(MalformedGraph):
