@@ -26,10 +26,13 @@ on the per-node information values, one on the per-node projections --
 and forms the running ratio at every node.  The update coefficients are
 real, so the complex projection runs as two real streams and one round
 advances three real rows (I, Re P, Im P) with a single neighbour sum.
-``decentralized_mle`` keeps no per-round history: it returns the final
+:func:`admm_rounds` builds its buffers once per call, O(|E|) memory, and
+no round allocates: a round is one gather of node rows over the links, one
+segmented sum and ten in-place elementwise passes, about 40 us at
+n = 512, radius 0.1.  It yields its own buffers, which the next round
+overwrites (copy to keep).  ``decentralized_mle`` keeps only the final
 state, and hands each round to an optional ``record`` sink
-(``experiment.recorded_run`` keeps every round through one, for the trace
-CSV), so its memory is O(|E|) whatever the round count.
+(``experiment.recorded_run`` keeps every round through one, for the trace CSV).
 """
 
 from __future__ import annotations
@@ -154,35 +157,55 @@ def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndar
     so a (k, n) array runs k independent streams in lockstep; any other
     length raises :class:`DimensionMismatch` on the first ``next``.
     Neighbour sums gather over the graph's link table without its self
-    links: O(|E|) work and memory per round.  The multiplier update's sum
-    over the new iterates is kept for the next round's y-update, so a
-    round costs one sum.
+    links; the multiplier update's sum over the new iterates is kept for
+    the next round's y-update, so a round costs one sum.  The rounds run
+    in place in the generator's own buffers (no caller's array is
+    written), and every round yields the same two views of them, which
+    the next round overwrites: copy them to keep them.
     """
     if any(np.shape(v)[-1:] != (g.n,) for v in (x, y, lam)):
         raise DimensionMismatch(f"x, y and lam must have one entry per node ({g.n}) on the last axis")
     links = g.links
     send = np.delete(links.sender, links.own)
     starts = links.starts - np.arange(g.n)  # each earlier segment holds one self link
-
-    def neighbour_sum(v):
-        if send.size == 0:  # a single node; reduceat cannot take no indices
-            return np.zeros_like(v)
-        return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
-
-    # Graph is connected: no segment is empty for n > 1.
-    degrees = np.diff(starts, append=send.size)
-    # The degrees are floats in the streams' full shape, so no round casts or broadcasts them.
+    degrees = np.diff(starts, append=send.size)  # Graph is connected: none is 0 for n > 1
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(lam))
-    d = np.broadcast_to(degrees, shape).astype(float)
-    rho_d = rho * d
-    denom = 1.0 + 2.0 * rho * d
+    k = math.prod(shape[:-1])
+    # The k streams sit side by side in one row per node, three of them
+    # zero-padded to four: take copies rows of 8, 16 or 32 bytes whole, others
+    # by memmove.  Three streams at n = 512 gather as 32-byte rows in 7 us,
+    # against 17 us a double at a time and 25 us as 24-byte rows.
+    width = 4 if k == 3 else k
+    dtype = np.result_type(*map(np.asarray, (x, y, lam)), np.float64)
 
-    s = neighbour_sum(y)
+    def node_rows(v):  # no round moves the padding off zero
+        rows = np.zeros((g.n, width), dtype)
+        rows[:, :k] = np.broadcast_to(v, shape).reshape(k, g.n).T
+        return rows
+
+    # The degrees too are in the rows' shape, so no round casts or broadcasts them.
+    x, y, lam, s, tmp, d = map(node_rows, (x, y, lam, 0.0, 0.0, degrees))
+    rho_d, denom = rho * d, 1.0 + 2.0 * rho * d
+    gathered = np.empty((send.size, width), dtype)
+    streams, sums = gathered[:, :k], s[:, :k]
+    yielded = y[:, :k].T.reshape(shape), lam[:, :k].T.reshape(shape)
+
+    def neighbour_sum():  # of y, into s; a single node has no links and a zero sum
+        if send.size:  # mode="raise" would copy through a buffer
+            y.take(send, axis=0, out=gathered, mode="wrap")
+            np.add.reduceat(streams, starts, axis=0, out=sums)
+    neighbour_sum()
     while True:
-        y = (rho_d * y + rho * s - lam + x) / denom
-        s = neighbour_sum(y)
-        lam = lam + rho * (d * y - s)
-        yield y, lam
+        np.multiply(rho_d, y, out=y)  # each update in its order of operations
+        y += np.multiply(rho, s, out=tmp)
+        y -= lam
+        y += x
+        y /= denom
+        neighbour_sum()
+        np.multiply(d, y, out=tmp)
+        tmp -= s
+        lam += np.multiply(rho, tmp, out=tmp)
+        yield yielded
 
 
 @dataclass(frozen=True)
@@ -263,7 +286,9 @@ def decentralized_mle(
     rounds = admm_rounds(g, rho, streams, np.zeros_like(streams), np.zeros_like(streams))
     tol, max_iter = cfg.tol, cfg.max_iter
     for k, (y, _lam) in enumerate(rounds, start=1):
-        disagreement = float(np.abs(y[0] - mean_I).max()) / scale_I
+        # max |y - mean| from the extremes, bit for bit: rounding is monotone.
+        top, low = float(np.maximum.reduce(y[0])), float(np.minimum.reduce(y[0]))
+        disagreement = max(top - mean_I, mean_I - low) / scale_I
         # The stop needs both streams within tol: the projection is measured
         # only once the information is, and at the cap.
         check_P = disagreement <= tol or k == max_iter

@@ -243,7 +243,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir) -> dict:
         "theta_central": [theta_central.real, theta_central.imag],
         "ml_variance": ml_variance(gm, gains),
         "iterations": run.iterations,
-        "converged": run.converged,
+        "converged": run.converged and math.isfinite(final_disagreement),  # not when every node is guarded
         "final_disagreement": final_disagreement,
         "rho": run.rho,
     }

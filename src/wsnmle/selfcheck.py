@@ -177,6 +177,7 @@ def check_consensus(rng, cases, n_max):
                     break
             else:
                 return f"consensus did not reach the mean (n={n}, rho={rho})"
+            y = y.copy()  # the next round overwrites the yielded array
             y_next, _ = next(rounds)
             if float(np.max(np.abs(y_next - y))) > 1e-6:
                 return f"converged state is not nearly stationary (n={n}, rho={rho})"

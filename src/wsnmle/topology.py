@@ -164,14 +164,18 @@ class Graph:
         if m < n - 1:  # before any O(n) allocation: n may be far beyond memory
             raise Disconnected(f"graph on {n} nodes with {m} edges is not connected")
         # Both directions of each pair and a self link per node, ordered by
-        # (receiver, sender) with stable sorts by sender and then by receiver
-        # (radix passes while ids fit in 16 bits).
-        receiver, sender = np.empty((2, 2 * m + n), dtype=np.uint16 if n <= 1 << 16 else np.intp)
+        # (receiver, sender): while ids fit in 16 bits, with stable sorts (radix
+        # passes) by sender and then by receiver; beyond, with one sort of the
+        # keys receiver * n + sender, where equal keys are equal links.
+        receiver, sender = np.empty((2, 2 * m + n), dtype=np.uint16 if n <= 1 << 16 else np.int64)
         receiver[:m] = sender[m : 2 * m] = pairs[:, 0]
         sender[:m] = receiver[m : 2 * m] = pairs[:, 1]
         receiver[2 * m :] = sender[2 * m :] = np.arange(n)
-        order = np.argsort(sender, kind="stable")
-        order = order[np.argsort(receiver[order], kind="stable")]
+        if n <= 1 << 16:
+            order = np.argsort(sender, kind="stable")
+            order = order[np.argsort(receiver[order], kind="stable")]
+        else:
+            order = np.argsort(receiver * n + sender)
         receiver, sender = receiver[order].astype(np.intp), sender[order].astype(np.intp)
         del order  # before the table
         twice = np.flatnonzero((receiver[1:] == receiver[:-1]) & (sender[1:] == sender[:-1]))

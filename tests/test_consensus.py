@@ -13,7 +13,7 @@ from wsnmle.consensus import (
     fitted_rho,
 )
 from wsnmle.errors import DimensionMismatch, Disconnected, ZeroInformation
-from wsnmle.experiment import recorded_run
+from wsnmle.experiment import ExperimentConfig, build_scenario, recorded_run
 from wsnmle.fusion import (
     build_global_model,
     decompose_information,
@@ -86,11 +86,10 @@ def _dense_decentralized_mle(g, cfg, I0, P0):
     return np.array(trajs[0]), np.array(trajs[1]), cfg.max_iter, False
 
 
-def _per_round_decentralized_mle(g, cfg, I0, P0):
-    # The loop decentralized_mle replaced, kernel included: integer degrees
-    # cast and broadcast in every round, the stop rule checked after every
-    # round, one row list per stream.  Returns (I, P, iterations, converged,
-    # disagreement).
+def _allocating_rounds(g, rho, x, y, lam):
+    # The kernel admm_rounds replaced: integer degrees cast and broadcast in
+    # every round, every result a fresh array, the neighbour sums gathered
+    # along the streams' last axis.
     links = g.links
     send = np.delete(links.sender, links.own)
     starts = links.starts - np.arange(g.n)
@@ -101,21 +100,28 @@ def _per_round_decentralized_mle(g, cfg, I0, P0):
             return np.zeros_like(v)
         return np.add.reduceat(np.take(v, send, axis=-1), starts, axis=-1)
 
+    denom = 1.0 + 2.0 * rho * d
+    s = neighbour_sum(y)
+    while True:
+        y = (rho * d * y + rho * s - lam + x) / denom
+        s = neighbour_sum(y)
+        lam = lam + rho * (d * y - s)
+        yield y, lam
+
+
+def _per_round_decentralized_mle(g, cfg, I0, P0):
+    # The loop decentralized_mle replaced, on the kernel admm_rounds
+    # replaced: the stop rule checked after every round, one row list per
+    # stream.  Returns (I, P, iterations, converged, disagreement).
     I0 = np.asarray(I0, dtype=float)
     P0 = np.asarray(P0, dtype=complex)
     mean_I, mean_P = float(np.mean(I0)), complex(np.mean(P0))
     scale_I, scale_P = max(1.0, abs(mean_I)), max(1.0, abs(mean_P))
     x = np.stack((I0, P0.real, P0.imag))
-    y, lam = np.zeros_like(x), np.zeros_like(x)
-    rho = cfg.rho
-    denom = 1.0 + 2.0 * rho * d
-    s = neighbour_sum(y)
+    rounds = _allocating_rounds(g, cfg.rho, x, np.zeros_like(x), np.zeros_like(x))
     traj_I = [np.zeros(g.n)]
     traj_P = [np.zeros(g.n, dtype=complex)]
-    for _ in range(cfg.max_iter):
-        y = (rho * d * y + rho * s - lam + x) / denom
-        s = neighbour_sum(y)
-        lam = lam + rho * (d * y - s)
+    for _, (y, _lam) in zip(range(cfg.max_iter), rounds):
         traj_I.append(y[0].copy())
         traj_P.append(y[1] + 1j * y[2])
         dev_I = float(np.max(np.abs(traj_I[-1] - mean_I))) / scale_I
@@ -237,6 +243,35 @@ def test_isolated_node_rejected(edge):
     with pytest.raises(Disconnected):
         g = Graph(n=3, edges=(edge,))
         next(admm_rounds(g, 0.5, np.ones(3), _zeros(3), _zeros(3)))
+
+
+def test_admm_rounds_writes_no_caller_array():
+    # The rounds run in their own buffers, yielded again every round.
+    g = random_connected_graph(40, "gnp", p=0.15, seed=15)
+    rng = np.random.default_rng(25)
+    x, y0, lam0 = rng.standard_normal((3, 3, g.n))
+    before = [v.tobytes() for v in (x, y0, lam0)]
+    rounds = admm_rounds(g, 0.7, x, y0, lam0)
+    first = next(rounds)
+    for _, (y, lam) in zip(range(5), rounds):
+        assert y is first[0] and lam is first[1]
+    assert [v.tobytes() for v in (x, y0, lam0)] == before
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3,), (4,), (5,), (2, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_admm_rounds_match_allocating_rounds_bit_for_bit(lead, dtype):
+    # Three streams pad the node rows to four, other counts run unpadded,
+    # and the yielded views give the streams' shape back.  Degrees of 9 and
+    # more sum each neighbour segment in numpy's 8-way pairwise blocks.
+    g = random_connected_graph(60, "geometric", radius=0.35, seed=3)
+    assert np.diff(g.links.starts, append=g.links.sender.size).max() > 9
+    v = np.random.default_rng(len(lead)).standard_normal((3, 2) + lead + (g.n,))
+    x, y0, lam0 = v[:, 0] + 1j * v[:, 1] if dtype is complex else v[:, 0]
+    rounds = admm_rounds(g, 0.3, x, y0, lam0)
+    for _, (y, lam), (y_ref, lam_ref) in zip(range(25), rounds, _allocating_rounds(g, 0.3, x, y0, lam0)):
+        assert y.shape == lam.shape == lead + (g.n,) and y.dtype == lam.dtype == dtype
+        assert y.tobytes() == y_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
 
 
 @pytest.mark.parametrize("arg", ["x", "y", "lam"])
@@ -402,6 +437,28 @@ def test_decentralized_mle_matches_per_round_loop_at_round_one(graph):
     ref = _per_round_decentralized_mle(g, cfg, I0, P0)
     assert (ref[2], ref[3]) == (1, True)
     _assert_same_run(g, cfg, I0, P0, ref)
+
+
+def _estimation_streams(n, radius, seed):
+    # The benchmark's estimation pipeline: unit gains, compression, one draw.
+    cfg = ExperimentConfig(n=n, radius=radius, master_seed=seed)
+    g, model = build_scenario(cfg)
+    a = GainVector.ones(g.n, cfg.constraint)
+    gm = build_global_model(model, select_retainers(g, node_information(model, a)), a)
+    return g, *decompose_information(gm, a, sample_received(model, gm, a, seed=seed))
+
+
+@pytest.mark.parametrize("n", [512, 1])
+def test_decentralized_mle_at_the_fitted_rho_matches_per_round_loop(n):
+    # At n = 512, radius 0.1 (the benchmark's estimation size) nodes have 9
+    # and more neighbours, so the segmented sums run numpy's 8-way pairwise
+    # blocks, which the n = 8 goldens never reach; n = 1 has no links.
+    g, I0, P0 = _estimation_streams(n, 0.1, seed=26)
+    degrees = np.diff(g.links.starts, append=g.links.sender.size) - 1
+    assert degrees.max() >= (9 if n > 1 else 0)
+    ref = _per_round_decentralized_mle(g, AdmmConfig(rho=fitted_rho(g)), I0, P0)
+    assert ref[3]
+    _assert_same_run(g, AdmmConfig(), I0, P0, ref)
 
 
 def test_record_sink_receives_rounds_in_order():

@@ -211,6 +211,18 @@ def test_run_convergence_reaches_central_estimate(tmp_path):
     assert summary["final_disagreement"] < 1e-4
 
 
+def test_run_convergence_with_every_node_guarded_does_not_report_convergence(tmp_path):
+    # At sigma_v_sq = 1e10 every information copy stays below the division
+    # guard: consensus meets its tol, but no node has an estimate.
+    config = tmp_path / "config.json"
+    config.write_text('{"sigma_v_sq": 1e10}', encoding="utf-8")
+    argv = ["consensus", "--n", "8", "--seed", "7", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["iterations"] == 23 and summary["final_disagreement"] == float("inf")
+    assert summary["converged"] is False
+
+
 def _per_row_trace_writer(path, run, theta_central):
     # The csv-module writer write_convergence_trace replaced: one row per
     # node per round, numpy scalars formatted one at a time.
@@ -654,6 +666,22 @@ def test_selfcheck_catches_sign_error_in_multiplier_update(monkeypatch):
     monkeypatch.setattr(selfcheck, "admm_rounds", broken_rounds)
     by_name = {r.name: r for r in run_all(seed=0, cases=5)}
     assert not by_name["consensus"].passed
+
+
+def test_selfcheck_catches_drift_in_a_buffer_the_rounds_overwrite(monkeypatch):
+    # Rounds that reach the mean and then drift off it, in the one array
+    # they yield every round, as admm_rounds does: the stationarity check
+    # must compare against a copy, not the array the drift overwrote.
+    def drifting_rounds(g, rho, x, y, lam):
+        y = np.full(g.n, np.mean(x))
+        while True:
+            yield y, lam
+            y += 1.0
+
+    monkeypatch.setattr(selfcheck, "admm_rounds", drifting_rounds)
+    by_name = {r.name: r for r in run_all(seed=0, cases=5)}
+    assert not by_name["consensus"].passed
+    assert by_name["consensus"].detail.startswith("converged state is not nearly stationary")
 
 
 def test_selfcheck_catches_underestimated_diagonal_load(monkeypatch):

@@ -7,12 +7,15 @@ The files in ``tests/golden/`` were written by::
     wsnmle topology --n 16 --seed 7
     wsnmle consensus --n 8 --seed 7      # consensus_trace.csv, summary.json
     wsnmle consensus --n 8 --seed 7 --rho 0.5   # consensus_trace_rho0.5.csv
+    wsnmle consensus --n 64 --seed 7 --constraint unimodular   # summary_n64.json
     wsnmle optimize --n 8 --seed 7       # opt_trace.csv, gains.csv
 
 The second sweep runs the default fixed-energy gains; its ``sweep.csv``
 is kept as ``sweep_fixed_energy.csv``.  The second consensus run sets the
 step constant the first one fits to the graph; its trace is kept as
-``consensus_trace_rho0.5.csv``.  A change that alters them on
+``consensus_trace_rho0.5.csv``.  The third consensus run's ``summary.json``,
+kept as ``summary_n64.json``, pins the round kernel on degrees of 12 to 50,
+where numpy sums each neighbour segment in pairwise blocks.  A change that alters them on
 purpose regenerates them with these commands and says why in CHANGES.md.
 """
 
@@ -39,11 +42,12 @@ OPTIMIZE = ["optimize", "--n", "8", "--seed", "7"]
         (CONSENSUS, "consensus_trace.csv", "consensus_trace.csv"),
         (CONSENSUS, "summary.json", "summary.json"),
         (CONSENSUS + ["--rho", "0.5"], "consensus_trace.csv", "consensus_trace_rho0.5.csv"),
+        (["consensus", "--n", "64", "--seed", "7", "--constraint", "unimodular"], "summary.json", "summary_n64.json"),
         (OPTIMIZE, "opt_trace.csv", "opt_trace.csv"),
         (OPTIMIZE, "gains.csv", "gains.csv"),
     ],
     ids=["sweep", "sweep-fixed-energy", "topology", "consensus-trace", "consensus-summary",
-         "consensus-trace-rho0.5", "optimize-trace", "optimize-gains"],
+         "consensus-trace-rho0.5", "consensus-summary-n64", "optimize-trace", "optimize-gains"],
 )
 def test_output_bytes_match_golden(tmp_path, argv, name, golden):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0

@@ -207,6 +207,27 @@ def test_graph_takes_pairs_in_any_order_and_orientation():
     assert_same_table((shuffled.edges, shuffled.links), dense_links(edge_mask(64, pairs)))
 
 
+def test_graph_beyond_16_bit_ids_takes_pairs_in_any_order_and_orientation():
+    # 90,000 nodes: ids beyond 16 bits, where the links sort by one key each.
+    k = 300
+    ids = np.arange(k * k).reshape(k, k)
+    pairs = np.concatenate((np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1),
+                            np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1)))
+    canonical = Graph(k * k, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+    rng = np.random.default_rng(1)
+    shuffled = pairs[rng.permutation(len(pairs))]
+    flip = rng.random(len(pairs)) < 0.5
+    shuffled[flip] = shuffled[flip, ::-1]
+    g = Graph(k * k, shuffled)
+    assert_same_table((g.edges, g.links), (canonical.edges, canonical.links))
+    # Both directions of each pair and the self links, in (receiver, sender) order.
+    receiver = np.concatenate((pairs[:, 0], pairs[:, 1], ids.ravel()))
+    sender = np.concatenate((pairs[:, 1], pairs[:, 0], ids.ravel()))
+    order = np.lexsort((sender, receiver))
+    assert np.array_equal(canonical.links.receiver, receiver[order])
+    assert np.array_equal(canonical.links.sender, sender[order])
+
+
 @pytest.mark.parametrize("n", [10**12, 10**19])
 def test_graph_file_with_too_few_edges_is_disconnected(tmp_path, n):
     # Rejected before anything of size n is allocated.
