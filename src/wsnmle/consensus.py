@@ -28,11 +28,11 @@ real, so the complex projection runs as two real streams and one round
 advances three real rows (I, Re P, Im P) with a single neighbour sum.
 :func:`admm_rounds` builds its buffers once per call, O(|E|) memory, and
 no round allocates: a round is one gather of node rows over the links, one
-segmented sum and ten in-place elementwise passes, about 40 us at
-n = 512, radius 0.1.  It yields its own buffers, which the next round
-overwrites (copy to keep).  ``decentralized_mle`` keeps only the final
-state, and hands each round to an optional ``record`` sink
-(``experiment.recorded_run`` keeps every round through one, for the trace CSV).
+segmented sum and ten in-place elementwise passes.  It yields its own
+buffers, which the next round overwrites (copy to keep).
+``decentralized_mle`` keeps only the final state, and hands each round to
+an optional ``record`` sink (``experiment.recorded_run`` keeps every round
+through one, for the trace CSV).
 """
 
 from __future__ import annotations
@@ -172,9 +172,8 @@ def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndar
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(lam))
     k = math.prod(shape[:-1])
     # The k streams sit side by side in one row per node, three of them
-    # zero-padded to four: take copies rows of 8, 16 or 32 bytes whole, others
-    # by memmove.  Three streams at n = 512 gather as 32-byte rows in 7 us,
-    # against 17 us a double at a time and 25 us as 24-byte rows.
+    # zero-padded to four: take copies rows of 8, 16 or 32 bytes whole, and
+    # others by memmove, which is slower than a gather one double at a time.
     width = 4 if k == 3 else k
     dtype = np.result_type(*map(np.asarray, (x, y, lam)), np.float64)
 
@@ -183,8 +182,7 @@ def admm_rounds(g: Graph, rho: float, x: np.ndarray, y: np.ndarray, lam: np.ndar
         rows[:, :k] = np.broadcast_to(v, shape).reshape(k, g.n).T
         return rows
 
-    # The degrees too are in the rows' shape, so no round casts or broadcasts them.
-    x, y, lam, s, tmp, d = map(node_rows, (x, y, lam, 0.0, 0.0, degrees))
+    x, y, lam, s, tmp, d = map(node_rows, (x, y, lam, 0.0, 0.0, degrees))  # d: no round casts it
     rho_d, denom = rho * d, 1.0 + 2.0 * rho * d
     gathered = np.empty((send.size, width), dtype)
     streams, sums = gathered[:, :k], s[:, :k]
@@ -286,9 +284,7 @@ def decentralized_mle(
     rounds = admm_rounds(g, rho, streams, np.zeros_like(streams), np.zeros_like(streams))
     tol, max_iter = cfg.tol, cfg.max_iter
     for k, (y, _lam) in enumerate(rounds, start=1):
-        # max |y - mean| from the extremes, bit for bit: rounding is monotone.
-        top, low = float(np.maximum.reduce(y[0])), float(np.minimum.reduce(y[0]))
-        disagreement = max(top - mean_I, mean_I - low) / scale_I
+        disagreement = float(np.abs(y[0] - mean_I).max()) / scale_I
         # The stop needs both streams within tol: the projection is measured
         # only once the information is, and at the cap.
         check_P = disagreement <= tol or k == max_iter

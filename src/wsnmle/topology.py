@@ -165,8 +165,9 @@ class Graph:
             raise Disconnected(f"graph on {n} nodes with {m} edges is not connected")
         # Both directions of each pair and a self link per node, ordered by
         # (receiver, sender): while ids fit in 16 bits, with stable sorts (radix
-        # passes) by sender and then by receiver; beyond, with one sort of the
-        # keys receiver * n + sender, where equal keys are equal links.
+        # passes) by sender and then by receiver; beyond, with one stable sort
+        # (fast on the canonical order save_graph writes) of the keys
+        # receiver * n + sender, where equal keys are equal links.
         receiver, sender = np.empty((2, 2 * m + n), dtype=np.uint16 if n <= 1 << 16 else np.int64)
         receiver[:m] = sender[m : 2 * m] = pairs[:, 0]
         sender[:m] = receiver[m : 2 * m] = pairs[:, 1]
@@ -175,7 +176,7 @@ class Graph:
             order = np.argsort(sender, kind="stable")
             order = order[np.argsort(receiver[order], kind="stable")]
         else:
-            order = np.argsort(receiver * n + sender)
+            order = np.argsort(receiver * n + sender, kind="stable")
         receiver, sender = receiver[order].astype(np.intp), sender[order].astype(np.intp)
         del order  # before the table
         twice = np.flatnonzero((receiver[1:] == receiver[:-1]) & (sender[1:] == sender[:-1]))
